@@ -32,6 +32,20 @@ func FuzzRead(f *testing.F) {
 	e.WriteTo(&elasticBuf)
 	f.Add(elasticBuf.Bytes())
 
+	// A cascade with a frozen tier: immediate auto-freeze turns every
+	// superseded level into a fuse level, and a few removes of the oldest
+	// keys leave tombstones in its ledger.
+	var frozenBuf bytes.Buffer
+	fe := NewElastic(WithInitialCapacity(256), WithAutoFreeze(0, 0))
+	for i := uint64(0); i < 1500; i++ {
+		fe.AddUint64(i)
+	}
+	for i := uint64(0); i < 10; i++ {
+		fe.RemoveUint64(i)
+	}
+	fe.WriteTo(&frozenBuf)
+	f.Add(frozenBuf.Bytes())
+
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
 
