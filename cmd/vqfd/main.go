@@ -92,6 +92,11 @@ func main() {
 		log.Printf("created filter %q kind=%s capacity=%d", info.Name, info.Kind, info.Capacity)
 	}
 
+	// Catch signals before announcing the listeners: a client may act on
+	// the announcement at once, and a SIGTERM that arrived before the
+	// handler would kill the daemon without its final snapshot.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -101,8 +106,6 @@ func main() {
 		log.Printf("binary protocol on %s", a)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 	log.Printf("signal received; draining")

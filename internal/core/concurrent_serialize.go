@@ -230,7 +230,7 @@ func ReadSharded(r io.Reader) (*Sharded8, *Sharded16, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bits := shardBitsFor(int(nshards))
+	bits := ShardBitsFor(int(nshards))
 	if geom == 8 {
 		f := &Sharded8{shards: make([]*CFilter8, nshards), shardBits: bits}
 		for i := range f.shards {

@@ -39,9 +39,10 @@ import (
 // machine this code plausibly meets, and it keeps the shard radix one byte.
 const maxShardBits = 8
 
-// shardBitsFor returns ceil(log2(n)) clamped to [0, maxShardBits]; n <= 0
-// selects a single shard.
-func shardBitsFor(n int) uint {
+// ShardBitsFor returns ceil(log2(n)) clamped to [0, maxShardBits]; n <= 0
+// selects a single shard. The elastic sharded cascade uses it too, so the
+// 256-shard cap lives here only.
+func ShardBitsFor(n int) uint {
 	bits := uint(0)
 	for 1<<bits < n && bits < maxShardBits {
 		bits++
@@ -141,7 +142,7 @@ type Sharded8 struct {
 // spread over nshards shards (rounded up to a power of two, clamped to
 // [1, 256]). Each shard is an independent CFilter8 sized for its share.
 func NewSharded8(nslots uint64, nshards int, opts Options) *Sharded8 {
-	bits := shardBitsFor(nshards)
+	bits := ShardBitsFor(nshards)
 	n := uint64(1) << bits
 	per := (nslots + n - 1) / n
 	f := &Sharded8{shards: make([]*CFilter8, n), shardBits: bits}
@@ -386,7 +387,7 @@ type Sharded16 struct {
 
 // NewSharded16 creates a sharded 16-bit-fingerprint filter; see NewSharded8.
 func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
-	bits := shardBitsFor(nshards)
+	bits := ShardBitsFor(nshards)
 	n := uint64(1) << bits
 	per := (nslots + n - 1) / n
 	f := &Sharded16{shards: make([]*CFilter16, n), shardBits: bits}

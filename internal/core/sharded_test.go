@@ -50,7 +50,7 @@ func TestShardPartition(t *testing.T) {
 func TestShardedBasic(t *testing.T) {
 	for _, nshards := range []int{1, 4, 5, 8} {
 		f := NewSharded8(1<<13, nshards, Options{})
-		want := 1 << shardBitsFor(nshards)
+		want := 1 << ShardBitsFor(nshards)
 		if f.NumShards() != want {
 			t.Fatalf("nshards %d: got %d shards, want %d", nshards, f.NumShards(), want)
 		}

@@ -1,13 +1,6 @@
 package elastic
 
-import (
-	"sync"
-	"time"
-
-	"vqf/internal/core"
-	"vqf/internal/minifilter"
-	"vqf/internal/telemetry"
-)
+import "vqf/internal/core"
 
 // Cascade compaction. Growth only ever appends levels, so after
 // insert/remove churn a cascade carries many sparse frozen levels and every
@@ -30,6 +23,9 @@ import (
 // is a suffix of every source mask; see internal/core/iterate.go). When the
 // full run cannot satisfy that, the oldest (smallest) levels are dropped
 // from the run until it fits or falls below two members.
+//
+// This file holds the planner and the rebuild; apply (cascade.go) carries
+// the plans out for both cascade filters.
 
 // schedCap bounds the schedule index. Compaction lets the level LIST stay
 // short while the schedule index keeps advancing, so the MaxLevels check no
@@ -52,23 +48,25 @@ type CompactionResult struct {
 // compactRun is one contiguous candidate range [lo, hi) of the level list.
 type compactRun struct{ lo, hi int }
 
-// compactRuns returns the maximal runs of ≥2 contiguous same-kind VQF
-// levels among the frozen levels ls[:len(ls)-1] (the newest level still
-// receives inserts and is never merged; immutable fuse levels cannot be
-// rebuilt by reinsertion and break runs).
-func compactRuns(ls []*level) []compactRun {
+// vqfRuns returns the maximal runs of at least minLen contiguous same-kind
+// VQF levels among the frozen levels ls[:len(ls)-1] whose members all pass
+// the gate (nil accepts everything). The newest level still receives
+// inserts and is never a source; immutable fuse levels cannot be rebuilt by
+// reinsertion and break runs.
+func vqfRuns(ls []*level, minLen int, gate func(*level) bool) []compactRun {
 	var runs []compactRun
 	frozen := len(ls) - 1
+	ok := func(l *level) bool { return gate == nil || gate(l) }
 	for lo := 0; lo < frozen; {
-		if !vqfKind(ls[lo].kind) {
+		if !vqfKind(ls[lo].kind) || !ok(ls[lo]) {
 			lo++
 			continue
 		}
 		hi := lo + 1
-		for hi < frozen && ls[hi].kind == ls[lo].kind {
+		for hi < frozen && ls[hi].kind == ls[lo].kind && ok(ls[hi]) {
 			hi++
 		}
-		if hi-lo >= 2 {
+		if hi-lo >= minLen {
 			runs = append(runs, compactRun{lo, hi})
 		}
 		lo = hi
@@ -76,92 +74,81 @@ func compactRuns(ls []*level) []compactRun {
 	return runs
 }
 
-// newMergedLevel allocates the destination level of a merge: kind and
-// concurrency from the sources, nblocks mini-filter blocks, budget εm.
-func newMergedLevel(cfg Config, kind uint8, nblocks uint64, budget float64) *level {
-	spb := uint64(minifilter.B8Slots)
-	geom := FPR8Full
-	if kind == 16 {
-		spb = minifilter.B16Slots
-		geom = FPR16Full
-	}
-	slots := nblocks * spb
-	lvl := &level{
-		kind:    kind,
-		budget:  budget,
-		trigger: uint64(cfg.FillThreshold * float64(slots)),
-		geomFPR: geom,
-	}
-	if lvl.trigger == 0 {
-		lvl.trigger = 1
-	}
-	opts := core.Options{NoShortcut: cfg.NoShortcut}
-	switch {
-	case kind == 8 && cfg.Concurrent:
-		lvl.filter = core.NewCFilter8(slots, opts)
-	case kind == 8:
-		lvl.filter = core.NewFilter8(slots, opts)
-	case cfg.Concurrent:
-		lvl.filter = core.NewCFilter16(slots, opts)
-	default:
-		lvl.filter = core.NewFilter16(slots, opts)
-	}
-	return lvl
-}
-
-// mergeBlocks returns the block count for merging the run, or 0 when the
-// run cannot be merged within its constraints: enough slots that the
-// realized FPR at the live load stays within the summed budget εm, enough
-// fill headroom for the rebuild inserts, and no more blocks than the
-// smallest source (the cross-mask soundness bound).
-func mergeBlocks(cfg Config, run []*level) uint64 {
-	live := sumCounts(run)
-	spb := uint64(run[0].filter.SlotsPerBlock())
-	minBlocks := run[0].filter.NumBlocks()
-	var budget float64
-	for _, l := range run {
-		budget += l.budget
-		if nb := l.filter.NumBlocks(); nb < minBlocks {
-			minBlocks = nb
+// planSegments partitions each run into segments newest first: fit plans
+// the longest usable suffix of what is left of the run (reporting its
+// sources in plan.sub), and the rest is planned the same way. A churned
+// cascade thus collapses to one rebuilt level per geometry class instead of
+// stranding a head of sparse little levels — typically the oldest ones,
+// whose small block counts bound the suffix's destination geometry — that
+// every negative lookup would keep probing. Plans come out in descending
+// hi order with disjoint sources.
+func planSegments(ls []*level, runs []compactRun, minLen int, fit func(seg []*level) (plan, bool)) []plan {
+	var plans []plan
+	for i := len(runs) - 1; i >= 0; i-- {
+		for hi := runs[i].hi; hi-runs[i].lo >= minLen; {
+			p, ok := fit(ls[runs[i].lo:hi])
+			if !ok {
+				break
+			}
+			p.hi = hi
+			plans = append(plans, p)
+			hi -= len(p.sub)
 		}
 	}
+	return plans
+}
+
+// shrink drops the oldest (smallest, and therefore most constraining)
+// levels from seg until try accepts the rest; ok is false when no suffix of
+// at least minLen levels fits.
+func shrink(seg []*level, minLen int, try func(sub []*level) (plan, bool)) (p plan, ok bool) {
+	for ; len(seg) >= minLen; seg = seg[1:] {
+		if p, ok = try(seg); ok {
+			p.sub = seg
+			return p, true
+		}
+	}
+	return plan{}, false
+}
+
+// runStats returns a run's live item count, summed budget and smallest
+// block count (the cross-mask bound on any destination geometry).
+func runStats(run []*level) (live uint64, budget float64, minBlocks uint64) {
+	minBlocks = run[0].filter.NumBlocks()
+	for _, l := range run {
+		live += l.filter.Count()
+		budget += l.budget
+		minBlocks = min(minBlocks, l.filter.NumBlocks())
+	}
+	return live, budget, minBlocks
+}
+
+// vqfBlocks returns the block count of a rebuilt kind-geometry VQF level
+// holding live items within budget: enough slots that the realized FPR at
+// the live load stays within it, and enough fill headroom for the rebuild
+// inserts.
+func vqfBlocks(cfg Config, kind uint8, live uint64, budget float64) uint64 {
+	spb, geom := vqfGeometry(kind)
 	need := float64(live) / cfg.FillThreshold
-	if byFPR := float64(live) * run[0].geomFPR / budget; byFPR > need {
+	if byFPR := float64(live) * geom / budget; byFPR > need {
 		need = byFPR
 	}
-	nblocks := core.BlocksFor(uint64(need), spb)
-	if nblocks > minBlocks {
-		return 0
-	}
-	return nblocks
+	return core.BlocksFor(uint64(need), spb)
 }
 
-// rebuildRun iterates every source level of the run into a fresh merged
-// level. On an insert failure (block-pair overflow despite the fill
-// headroom) the destination is doubled and rebuilt, up to the cross-mask
-// bound; nil means the run could not be merged and the caller keeps the
-// originals.
-func rebuildRun(cfg Config, run []*level, nblocks uint64) *level {
-	minBlocks := run[0].filter.NumBlocks()
-	var budget float64
-	for _, l := range run {
-		budget += l.budget
-		if nb := l.filter.NumBlocks(); nb < minBlocks {
-			minBlocks = nb
-		}
-	}
-	for ; nblocks <= minBlocks; nblocks *= 2 {
-		dst := newMergedLevel(cfg, run[0].kind, nblocks, budget)
+// rebuildVQF reinserts every source instance into a fresh VQF level of the
+// given kind and budget with nblocks blocks. On an insert failure
+// (block-pair overflow despite the fill headroom) the destination is
+// doubled and rebuilt, up to maxBlocks; nil means the sources could not be
+// rebuilt and stay as they are.
+func rebuildVQF(cfg Config, kind uint8, budget float64, nblocks, maxBlocks uint64, srcs []*level) *level {
+	spb, _ := vqfGeometry(kind)
+	for ; nblocks <= maxBlocks; nblocks *= 2 {
+		slots := nblocks * spb
+		dst := newVQFLevel(cfg, kind, slots, budget, uint64(cfg.FillThreshold*float64(slots)))
 		ok := true
-		for _, src := range run {
-			src.filter.IterateHashes(func(h uint64) bool {
-				if !dst.filter.Insert(h) {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
+		for _, src := range srcs {
+			if ok = src.filter.IterateHashes(dst.filter.Insert); !ok {
 				break
 			}
 		}
@@ -172,305 +159,25 @@ func rebuildRun(cfg Config, run []*level, nblocks uint64) *level {
 	return nil
 }
 
-// shrinkRun drops the oldest (smallest, and therefore most constraining)
-// levels from the run until it can be merged, returning the usable suffix
-// and its block count; ok is false when no ≥2-level suffix fits.
-func shrinkRun(cfg Config, run []*level) (sub []*level, nblocks uint64, ok bool) {
-	for len(run) >= 2 {
-		if nblocks = mergeBlocks(cfg, run); nblocks != 0 {
-			return run, nblocks, true
-		}
-		run = run[1:]
-	}
-	return nil, 0, false
-}
-
-// mergePlan is one planned merge: the contiguous sub-run ending at level
-// index hi (exclusive) and the destination's block count — or, when drop is
-// set, an all-empty segment to splice out without replacement (building a
-// merged level for zero items would spuriously allocate; the segment's
-// budgets retire into the reclaimed pool instead).
-type mergePlan struct {
-	hi      int
-	sub     []*level
-	nblocks uint64
-	drop    bool
-}
-
-// planRun partitions one candidate run into mergeable segments, newest
-// first. shrinkRun finds the longest mergeable suffix; the dropped prefix —
-// typically the oldest, near-empty levels whose small block counts bound the
-// suffix's destination geometry — is then planned as a run of its own. A
-// churned cascade thus collapses to one merged level per geometry class
-// instead of stranding a head of sparse little levels that every negative
-// lookup would keep probing. Plans are returned in descending hi order with
-// disjoint segments, so splicing them in order keeps earlier indices valid.
-func planRun(cfg Config, r compactRun, ls []*level) []mergePlan {
-	var plans []mergePlan
-	hi := r.hi
-	for hi-r.lo >= 2 {
-		seg := ls[r.lo:hi]
+// planCompaction plans a merge of every run of at least two frozen
+// same-kind VQF levels. The merged level is sized by vqfBlocks but may not
+// exceed the smallest source's block count (the cross-mask soundness
+// bound); a segment with no live items is dropped instead, since building
+// a merged level for zero items would spuriously allocate.
+func planCompaction(cfg Config, ls []*level) []plan {
+	return planSegments(ls, vqfRuns(ls, 2, nil), 2, func(seg []*level) (plan, bool) {
 		if sumCounts(seg) == 0 {
-			// All-empty segment (shrinkRun never selects an empty strict
-			// suffix: empty suffixes always merge, so emptiness only
-			// surfaces for the whole segment): drop it outright.
-			plans = append(plans, mergePlan{hi: hi, sub: seg, drop: true})
-			break
+			return plan{sub: seg, drop: true}, true
 		}
-		sub, nblocks, ok := shrinkRun(cfg, seg)
-		if !ok {
-			break
-		}
-		plans = append(plans, mergePlan{hi: hi, sub: sub, nblocks: nblocks})
-		hi -= len(sub)
-	}
-	return plans
-}
-
-// CompactNow merges every qualifying run of frozen levels, synchronously.
-// It returns how many levels were merged away (zero when nothing
-// qualified — a cascade still growing, or runs whose geometry constraints
-// could not be met).
-func (f *Filter) CompactNow() CompactionResult {
-	res := CompactionResult{LevelsBefore: len(f.levels), LevelsAfter: len(f.levels)}
-	runs := compactRuns(f.levels)
-	if len(runs) == 0 {
-		return res
-	}
-	frozenLive := sumCounts(f.levels[:len(f.levels)-1])
-	f.ring.Record(telemetry.EvCompactStart, uint64(len(f.levels)), frozenLive, 0)
-	end := telemetry.Task("vqf.elastic.compact")
-	start := time.Now()
-	// Splice back to front so earlier run and plan indices stay valid.
-	for i := len(runs) - 1; i >= 0; i-- {
-		for _, p := range planRun(f.cfg, runs[i], f.levels) {
-			lo := p.hi - len(p.sub)
-			if p.drop {
-				for _, l := range p.sub {
-					f.reclaimed += l.budget
-				}
-				f.levels = append(f.levels[:lo], f.levels[p.hi:]...)
-				res.LevelsMerged += len(p.sub)
-				continue
-			}
-			merged := rebuildRun(f.cfg, p.sub, p.nblocks)
-			if merged == nil {
-				continue // rebuild could not fit; sources stay as-is
-			}
-			setLevelRing(merged, f.ring)
-			stampFrozen(merged)
-			f.levels = append(f.levels[:lo+1], f.levels[p.hi:]...)
-			f.levels[lo] = merged
-			res.LevelsMerged += len(p.sub)
-		}
-	}
-	end()
-	res.LevelsAfter = len(f.levels)
-	if res.LevelsMerged > 0 {
-		f.compactions++
-		f.compactionLevels += uint64(res.LevelsMerged)
-	}
-	f.ring.Record(telemetry.EvCompactFinish,
-		uint64(res.LevelsMerged), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeCompact runs CompactNow when the automatic trigger condition holds:
-// at least CompactMinLevels levels, and the frozen levels loaded at or
-// below CompactMaxLoad. Compacting shrinks the level count, so the next
-// trigger needs regrowth — the policy cannot thrash.
-func (f *Filter) maybeCompact() {
-	if f.cfg.CompactMinLevels == 0 || len(f.levels) < f.cfg.CompactMinLevels {
-		return
-	}
-	frozen := f.levels[:len(f.levels)-1]
-	if float64(sumCounts(frozen)) <= f.cfg.CompactMaxLoad*float64(sumCapacities(frozen)) {
-		f.CompactNow()
-	}
-}
-
-// compactState is the shared state of one in-flight concurrent compaction:
-// the set of levels being rebuilt and the log of removes that hit them
-// after the freeze barrier. frozen is written before the state is published
-// and read-only afterwards; log appends run under mu and are drained only
-// after the compaction's second removeMu write barrier, when no remover can
-// still be appending.
-type compactState struct {
-	frozen map[*level]struct{}
-	mu     sync.Mutex
-	log    []uint64
-}
-
-// reconcile makes the merged level dst agree with its source levels at
-// quiescence, given the hashes removed from frozen levels during the build.
-// For each distinct logged hash it compares dst's instance count at the
-// hash's candidate pair against the sources' surviving instances across all
-// source blocks that fold onto that pair (b ≡ p1 or p2 mod dst's block
-// count — the xor trick makes the pair closed under mask truncation, see
-// internal/core/iterate.go), and removes the surplus. Count differencing is
-// order-independent, so duplicate log entries, fingerprint collisions
-// between distinct hashes, and removes the builder had already observed all
-// resolve to a zero diff.
-func reconcile(dst *level, srcs []*level, log []uint64) {
-	if len(log) == 0 {
-		return
-	}
-	dstBlocks := dst.filter.NumBlocks()
-	seen := make(map[uint64]struct{}, len(log))
-	for _, h := range log {
-		if _, dup := seen[h]; dup {
-			continue
-		}
-		seen[h] = struct{}{}
-		p1, p2 := dst.filter.CandidateBlocks(h)
-		got := dst.filter.CountAtBlock(p1, h)
-		if p2 != p1 {
-			got += dst.filter.CountAtBlock(p2, h)
-		}
-		var want uint64
-		for _, src := range srcs {
-			srcBlocks := src.filter.NumBlocks()
-			for b := p1; b < srcBlocks; b += dstBlocks {
-				want += src.filter.CountAtBlock(b, h)
-			}
-			if p2 != p1 {
-				for b := p2; b < srcBlocks; b += dstBlocks {
-					want += src.filter.CountAtBlock(b, h)
-				}
-			}
-		}
-		for ; got > want; got-- {
-			dst.filter.Remove(h)
-		}
-	}
-}
-
-// CompactNow merges every qualifying run of frozen levels while concurrent
-// readers stay lock-free and writers keep writing. The protocol:
-//
-//  1. Plan runs under growMu (which also blocks growth, so the newest
-//     level — the only insert target — is stable for the duration).
-//  2. Publish the frozen-level set through a removeMu write barrier:
-//     every remove thereafter logs hashes it deletes from frozen levels.
-//  3. Build each merged level off the hot path by iterating the sources'
-//     per-block snapshots (inserts cannot touch frozen levels; removes
-//     are captured either by the snapshot or by the log).
-//  4. Take removeMu again — draining in-flight removes — reconcile the
-//     log against each merged level, atomically swap the level list, and
-//     lift the freeze.
-//
-// Contains never blocks: it works on whichever level list it loaded, and
-// source levels stay intact until unreferenced. Inserts block only if they
-// need to grow the cascade mid-compaction.
-func (f *CFilter) CompactNow() CompactionResult {
-	f.growMu.Lock()
-	defer f.growMu.Unlock()
-	ls := *f.levels.Load()
-	res := CompactionResult{LevelsBefore: len(ls), LevelsAfter: len(ls)}
-
-	// Plans are collected in descending hi order (runs back to front, and
-	// planRun yields newest-first within a run), so the final splice loop
-	// can walk them forward with earlier indices staying valid.
-	var plans []mergePlan
-	st := &compactState{frozen: map[*level]struct{}{}}
-	runs := compactRuns(ls)
-	for i := len(runs) - 1; i >= 0; i-- {
-		for _, p := range planRun(f.cfg, runs[i], ls) {
-			plans = append(plans, p)
-			for _, l := range p.sub {
-				st.frozen[l] = struct{}{}
-			}
-		}
-	}
-	if len(plans) == 0 {
-		return res
-	}
-
-	f.ring.Record(telemetry.EvCompactStart, uint64(len(ls)), sumCounts(ls[:len(ls)-1]), 0)
-	end := telemetry.Task("vqf.elastic.compact")
-	start := time.Now()
-
-	f.removeMu.Lock()
-	// Sealing inside the barrier shuts the insert fast path on every source:
-	// a stale inserter either fully lands before this critical section (and
-	// the rebuild below sees its instance) or observes sealed and retries.
-	for l := range st.frozen {
-		l.sealed.Store(true)
-	}
-	f.compact.Store(st)
-	f.removeMu.Unlock()
-
-	merged := make([]*level, len(plans))
-	for i := range plans {
-		if plans[i].drop {
-			continue
-		}
-		if m := rebuildRun(f.cfg, plans[i].sub, plans[i].nblocks); m != nil {
-			setLevelRing(m, f.ring)
-			stampFrozen(m)
-			merged[i] = m
-		}
-	}
-
-	f.removeMu.Lock()
-	next := append([]*level(nil), ls...)
-	for i := range plans {
-		lo := plans[i].hi - len(plans[i].sub)
-		if plans[i].drop {
-			// Empty at plan time stays empty (no level here can gain
-			// fingerprints), so no reconcile is needed.
-			for _, l := range plans[i].sub {
-				f.addReclaimed(l.budget)
-			}
-			next = append(next[:lo], next[plans[i].hi:]...)
-			res.LevelsMerged += len(plans[i].sub)
-			continue
-		}
-		if merged[i] == nil {
-			continue // rebuild could not fit; sources stay live as-is
-		}
-		reconcile(merged[i], plans[i].sub, st.log)
-		next = append(next[:lo+1], next[plans[i].hi:]...)
-		next[lo] = merged[i]
-		res.LevelsMerged += len(plans[i].sub)
-	}
-	if res.LevelsMerged > 0 {
-		f.levels.Store(&next)
-		f.compactions.Add(1)
-		f.compactionLevels.Add(uint64(res.LevelsMerged))
-	}
-	f.compact.Store(nil)
-	f.removeMu.Unlock()
-	end()
-	res.LevelsAfter = len(next)
-	f.ring.Record(telemetry.EvCompactFinish,
-		uint64(res.LevelsMerged), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeCompact fires a background compaction when the automatic trigger
-// condition holds; see Filter.maybeCompact. At most one background
-// compaction runs at a time (explicit CompactNow calls serialize on growMu
-// independently of this gate).
-func (f *CFilter) maybeCompact() {
-	if f.cfg.CompactMinLevels == 0 {
-		return
-	}
-	ls := *f.levels.Load()
-	if len(ls) < f.cfg.CompactMinLevels {
-		return
-	}
-	frozen := ls[:len(ls)-1]
-	if float64(sumCounts(frozen)) > f.cfg.CompactMaxLoad*float64(sumCapacities(frozen)) {
-		return
-	}
-	if !f.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer f.compacting.Store(false)
-		f.CompactNow()
-	}()
+		return shrink(seg, 2, func(sub []*level) (plan, bool) {
+			live, budget, minBlocks := runStats(sub)
+			kind := sub[0].kind
+			nblocks := vqfBlocks(cfg, kind, live, budget)
+			return plan{build: func() *level {
+				return rebuildVQF(cfg, kind, budget, nblocks, minBlocks, sub)
+			}}, nblocks <= minBlocks
+		})
+	})
 }
 
 // CompactNow compacts every shard, summing the per-shard results.

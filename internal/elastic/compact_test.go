@@ -59,10 +59,12 @@ func futureBudget(cfg Config, sched, horizon int) float64 {
 // checkBudgetInvariant asserts live budgets plus the reclaimed pool plus
 // the unspent schedule tail stay within ε (live + reclaimed must equal
 // Σ_{i<sched} εᵢ exactly up to float error: merges and freezes preserve
-// sums, and dropping an emptied level moves its budget to reclaimed).
-func checkBudgetInvariant(t *testing.T, cfg Config, ls []*level, sched int, reclaimed float64) {
+// sums, and dropping an emptied level moves its budget to reclaimed). It
+// reads the state both cascade filters share, so it checks either.
+func checkBudgetInvariant(t *testing.T, c *cascade) {
 	t.Helper()
-	live := budgetSum(ls) + reclaimed
+	cfg, sched := c.cfg, c.sched
+	live := budgetSum(c.hooks.current()) + c.Reclaimed()
 	var spent float64
 	for i := 0; i < sched; i++ {
 		spent += levelBudget(cfg, i)
@@ -100,7 +102,7 @@ func TestCompactMergesChurnedCascade(t *testing.T) {
 			t.Fatalf("compaction lost key %#x", k)
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, &f.cascade)
 
 	// Realized FPR over fresh never-inserted keys stays within the budget.
 	probes := workload.NewStream(999).Keys(300000)
@@ -158,7 +160,7 @@ func TestCompactThenGrow(t *testing.T) {
 	if f.sched <= schedBefore {
 		t.Fatal("growth after compaction did not advance the schedule")
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, &f.cascade)
 	for _, k := range live {
 		if !f.Contains(k) {
 			t.Fatal("lost pre-compaction key after regrowth")
@@ -191,7 +193,7 @@ func TestCompactAutoTrigger(t *testing.T) {
 	for _, k := range keys[:len(keys)*3/4] {
 		f.Remove(k)
 	}
-	if f.compactions == 0 {
+	if f.compactions.Load() == 0 {
 		t.Fatal("auto-compaction never fired")
 	}
 	if f.NumLevels() >= levels {
@@ -254,7 +256,7 @@ func TestCompactSerializeRoundTrip(t *testing.T) {
 			t.Fatal("post-reload insert failed")
 		}
 	}
-	checkBudgetInvariant(t, g.cfg, g.levels, g.sched, g.reclaimed)
+	checkBudgetInvariant(t, &g.cascade)
 }
 
 // TestReadV1Stream hand-crafts a version-1 cascade stream (no per-level

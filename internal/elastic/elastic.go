@@ -39,7 +39,6 @@ import (
 	"vqf/internal/core"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
-	"vqf/internal/telemetry"
 )
 
 // Analytic full-load false-positive rates of the two core geometries
@@ -253,54 +252,47 @@ func levelSizing(c Config, i int) (baseSlots, trigger, allocSlots uint64) {
 	return baseSlots, trigger, uint64(falloc)
 }
 
+// vqfGeometry returns a VQF level kind's slots per block and analytic
+// full-load FPR.
+func vqfGeometry(kind uint8) (slotsPerBlock uint64, geomFPR float64) {
+	if kind == 8 {
+		return minifilter.B8Slots, FPR8Full
+	}
+	return minifilter.B16Slots, FPR16Full
+}
+
 // newLevel builds level i of a cascade configured by c.
 func newLevel(c Config, i int) *level {
 	_, trigger, allocSlots := levelSizing(c, i)
-	lvl := &level{
-		kind:    levelKind(c, i),
-		budget:  levelBudget(c, i),
-		trigger: trigger,
-		geomFPR: FPR16Full,
-	}
+	return newVQFLevel(c, levelKind(c, i), allocSlots, levelBudget(c, i), trigger)
+}
+
+// newVQFLevel allocates an empty VQF level of the given kind, slot count,
+// budget and growth trigger (at least 1), concurrent when c says so.
+func newVQFLevel(c Config, kind uint8, slots uint64, budget float64, trigger uint64) *level {
+	lvl := &level{kind: kind, budget: budget, trigger: max(trigger, 1)}
+	_, lvl.geomFPR = vqfGeometry(kind)
 	opts := core.Options{NoShortcut: c.NoShortcut}
 	switch {
-	case lvl.kind == 8 && c.Concurrent:
-		lvl.filter = core.NewCFilter8(allocSlots, opts)
-		lvl.geomFPR = FPR8Full
-	case lvl.kind == 8:
-		lvl.filter = core.NewFilter8(allocSlots, opts)
-		lvl.geomFPR = FPR8Full
+	case kind == 8 && c.Concurrent:
+		lvl.filter = core.NewCFilter8(slots, opts)
+	case kind == 8:
+		lvl.filter = core.NewFilter8(slots, opts)
 	case c.Concurrent:
-		lvl.filter = core.NewCFilter16(allocSlots, opts)
+		lvl.filter = core.NewCFilter16(slots, opts)
 	default:
-		lvl.filter = core.NewFilter16(allocSlots, opts)
+		lvl.filter = core.NewFilter16(slots, opts)
 	}
 	return lvl
 }
 
 // Filter is a single-threaded elastic VQF. Like the core filters it
 // consumes pre-hashed 64-bit keys; hashing and seed handling live in the
-// public vqf package.
+// public vqf package. Its structural ops run inline through the shared
+// cascade code with a nil fence (see cascade.go).
 type Filter struct {
-	cfg    Config
+	cascade
 	levels []*level
-	// sched is the next schedule index growth will build. It only ever
-	// increases: compaction shrinks the level LIST but never reuses a
-	// schedule slot, which keeps the budget invariant exact — live levels
-	// hold Σ_{i<sched} εᵢ between them (merges preserve budget sums) and
-	// future levels get Σ_{i≥sched} εᵢ, totalling ε.
-	sched int
-	ring  *telemetry.Ring
-	// compactions / compactionLevels / freezes / freezeLevels / thaws are
-	// lifetime totals for telemetry.
-	compactions      uint64
-	compactionLevels uint64
-	freezes          uint64
-	freezeLevels     uint64
-	thaws            uint64
-	// reclaimed is FPR budget retired from dropped (emptied) levels; see
-	// Reclaimed.
-	reclaimed float64
 
 	// scratch backs ContainsBatch's shrinking working set (batch.go).
 	scratch cascadeScratch
@@ -312,8 +304,19 @@ func New(cfg Config) (*Filter, error) {
 		return nil, err
 	}
 	cfg.Concurrent = false
-	return &Filter{cfg: cfg, levels: []*level{newLevel(cfg, 0)}, sched: 1}, nil
+	return newFilter(cfg, []*level{newLevel(cfg, 0)}, 1), nil
 }
+
+// newFilter wraps a level list and schedule index in a sequential Filter.
+func newFilter(cfg Config, ls []*level, sched int) *Filter {
+	f := &Filter{levels: ls}
+	f.cfg, f.hooks, f.sched = cfg, f, sched
+	return f
+}
+
+func (f *Filter) current() []*level   { return f.levels }
+func (f *Filter) publish(ls []*level) { f.levels = ls }
+func (f *Filter) dispatch(op opKind)  { f.run(op) }
 
 // Insert adds the pre-hashed key h, growing the cascade when the newest
 // level reaches its trigger (or, rarely, rejects the insert below it). It
@@ -324,14 +327,9 @@ func (f *Filter) Insert(h uint64) bool {
 		if lvl.filter.Count() < lvl.trigger && lvl.filter.Insert(h) {
 			return true
 		}
-		if len(f.levels) >= MaxLevels || f.sched >= schedCap {
+		if !f.grow(lvl) {
 			return false
 		}
-		stampFrozen(lvl) // the superseded newest level just left the insert path
-		f.levels = append(f.levels, buildLevel(f.cfg, f.sched, f.ring, telemetry.EvElasticGrow))
-		f.sched++
-		f.maybeCompact()
-		f.maybeFreeze()
 	}
 }
 
@@ -352,49 +350,11 @@ func (f *Filter) Contains(h uint64) bool {
 func (f *Filter) Remove(h uint64) bool {
 	for i := len(f.levels) - 1; i >= 0; i-- {
 		if f.levels[i].filter.Remove(h) {
-			if i < len(f.levels)-1 {
-				// A frozen level just got sparser; check the auto triggers
-				// (maybeThaw rescans, so it tolerates the splices the other
-				// two may perform).
-				f.maybeThaw()
-				f.maybeCompact()
-				f.maybeFreeze()
-			}
+			f.removedFrom(f.levels, i)
 			return true
 		}
 	}
 	return false
-}
-
-// Count returns the number of items stored across all levels.
-func (f *Filter) Count() uint64 { return sumCounts(f.levels) }
-
-// Capacity returns the total allocated fingerprint slots across all levels.
-func (f *Filter) Capacity() uint64 { return sumCapacities(f.levels) }
-
-// SizeBytes returns the cascade's memory footprint.
-func (f *Filter) SizeBytes() uint64 { return sumSizes(f.levels) }
-
-// NumLevels returns the current cascade depth.
-func (f *Filter) NumLevels() int { return len(f.levels) }
-
-// TargetFPR returns the configured total false-positive budget ε.
-func (f *Filter) TargetFPR() float64 { return f.cfg.TargetFPR }
-
-// Stats returns operation counters summed over all levels.
-func (f *Filter) Stats() stats.OpCounts { return sumStats(f.levels) }
-
-// Snapshot returns the cascade's structural snapshot: an aggregate plus one
-// per-level snapshot, newest level last.
-func (f *Filter) Snapshot() stats.CascadeSnapshot {
-	cs := snapshotLevels(f.cfg.TargetFPR, f.levels)
-	cs.Compactions = f.compactions
-	cs.CompactionLevelsMerged = f.compactionLevels
-	cs.Freezes = f.freezes
-	cs.FreezeLevelsFrozen = f.freezeLevels
-	cs.Thaws = f.thaws
-	cs.BudgetReclaimed = f.reclaimed
-	return cs
 }
 
 func sumCounts(ls []*level) uint64 {

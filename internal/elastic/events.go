@@ -14,24 +14,6 @@ import (
 // paid for it. The ring also propagates into each level's concurrent core
 // filter, so seqlock fallbacks inside the cascade land in the same stream.
 
-// SetEventRing attaches r as the cascade's rare-event sink. Call before
-// the filter sees traffic.
-func (f *Filter) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, lvl := range f.levels {
-		setLevelRing(lvl, r)
-	}
-}
-
-// SetEventRing attaches r as the cascade's rare-event sink. Call before
-// sharing the filter across goroutines.
-func (f *CFilter) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, lvl := range *f.levels.Load() {
-		setLevelRing(lvl, r)
-	}
-}
-
 // SetEventRing attaches r to every shard's cascade. Call before sharing.
 func (f *Sharded) SetEventRing(r *telemetry.Ring) {
 	for _, s := range f.shards {

@@ -12,7 +12,6 @@ import (
 	"vqf/internal/fuse"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
-	"vqf/internal/telemetry"
 )
 
 // Frozen tier. A cascade's old levels are read-mostly after churn, yet each
@@ -45,10 +44,10 @@ import (
 // keys when the survivors no longer fit the VQF geometry under the fold
 // bound).
 //
-// Concurrency reuses the compaction protocol verbatim (see compact.go):
-// plan under growMu, publish the frozen set through a removeMu barrier so
-// racing removes log themselves, build off-lock from per-block snapshots,
-// then reconcile the log and swap the level list atomically. The fuse
+// Freezes and thaws are structural ops like compaction: a planner here,
+// carried out by the shared routine in cascade.go, which on the concurrent
+// filter seals the sources, builds off-lock from per-block snapshots, then
+// reconciles the remove log and swaps the level list atomically. The fuse
 // level's CountAtBlock/CandidateBlocks are defined so reconcile's
 // count-differencing is exact in both directions (freeze: fuse as
 // destination; thaw: fuse as source): a key's instances are "located" only
@@ -547,146 +546,88 @@ func (l *fuseLevel) CountAtBlock(b, h uint64) uint64 {
 // NumBlocks returns the fold geometry's block count.
 func (l *fuseLevel) NumBlocks() uint64 { return l.foldBlocks }
 
-// freezePlan is one planned freeze: the contiguous sub-run ending at level
-// index hi (exclusive), the fold geometry, fuse width and inherited budget
-// — or a drop of an all-empty run (budget moves to reclaimed).
-type freezePlan struct {
-	hi         int
-	sub        []*level
-	drop       bool
-	fpBits     uint8
-	foldBlocks uint64
-	budget     float64
-	geomFPR    float64
-}
-
-// freezeRuns returns the maximal runs of ≥1 contiguous same-kind VQF levels
-// among the frozen levels ls[:len(ls)-1] that pass the gate (nil gate
-// accepts everything). Unlike compaction a single level is a worthwhile
-// freeze unit — the win is the representation, not the merge.
-func freezeRuns(ls []*level, gate func(*level) bool) []compactRun {
-	var runs []compactRun
-	frozen := len(ls) - 1
-	for lo := 0; lo < frozen; {
-		if !vqfKind(ls[lo].kind) || (gate != nil && !gate(ls[lo])) {
-			lo++
-			continue
-		}
-		hi := lo + 1
-		for hi < frozen && ls[hi].kind == ls[lo].kind && (gate == nil || gate(ls[hi])) {
-			hi++
-		}
-		runs = append(runs, compactRun{lo, hi})
-		lo = hi
-	}
-	return runs
-}
-
-// freezeParams checks whether a run can be frozen within its summed budget
-// and returns the plan parameters. Both analytic FPR terms are held to
-// budget/2: the canonical-collision term is fixed by the fold geometry and
-// live count, the fuse term by the narrowest fingerprint width that fits.
-// An all-empty run plans as a drop.
-func freezeParams(run []*level) (freezePlan, bool) {
-	live := sumCounts(run)
-	var budget float64
-	minBlocks := run[0].filter.NumBlocks()
-	for _, l := range run {
-		budget += l.budget
-		if nb := l.filter.NumBlocks(); nb < minBlocks {
-			minBlocks = nb
-		}
-	}
-	if live == 0 {
-		return freezePlan{drop: true, budget: budget}, true
-	}
+// canonFPR is the canonical-collision term of a fuse level's FPR: the
+// chance that a negative key folds onto one of live stored representatives
+// of the srcKind geometry under a foldBlocks-block fold.
+func canonFPR(srcKind uint8, live, foldBlocks uint64) float64 {
 	buckets, fpSpace := float64(minifilter.B8Buckets), 256.0
-	if run[0].kind == 16 {
+	if srcKind == 16 {
 		buckets, fpSpace = float64(minifilter.B16Buckets), 65536.0
 	}
-	canonFPR := 2 * float64(live) / (float64(minBlocks) * buckets * fpSpace)
-	if canonFPR > budget/2 {
-		return freezePlan{}, false
+	return 2 * float64(live) / (float64(foldBlocks) * buckets * fpSpace)
+}
+
+// fuseSpec is a planned fuse level: the source VQF kind whose canonical key
+// space the fold keys live in, the fuse fingerprint width, the fold's block
+// count, and the budget the level inherits.
+type fuseSpec struct {
+	srcKind, fpBits uint8
+	foldBlocks      uint64
+	budget          float64
+}
+
+// fusePlan checks whether a run can be frozen within its summed budget.
+// Both analytic FPR terms are held to budget/2: the canonical-collision
+// term is fixed by the fold geometry and live count, the fuse term by the
+// narrowest fingerprint width that fits. An all-empty run plans as a drop.
+func fusePlan(run []*level) (plan, bool) {
+	live, budget, minBlocks := runStats(run)
+	if live == 0 {
+		return plan{drop: true}, true
 	}
-	var fpBits uint8
+	s := fuseSpec{srcKind: run[0].kind, foldBlocks: minBlocks, budget: budget}
 	switch {
+	case canonFPR(s.srcKind, live, minBlocks) > budget/2:
+		return plan{}, false
 	case 1.0/256 <= budget/2:
-		fpBits = 8
+		s.fpBits = 8
 	case 1.0/65536 <= budget/2:
-		fpBits = 16
+		s.fpBits = 16
 	default:
-		return freezePlan{}, false
+		return plan{}, false
 	}
-	return freezePlan{
-		fpBits:     fpBits,
-		foldBlocks: minBlocks,
-		budget:     budget,
-		geomFPR:    canonFPR + math.Pow(2, -float64(fpBits)),
-	}, true
+	return plan{build: func() *level { return buildFuseLevel(s, run) }}, true
 }
 
-// shrinkFreeze drops the oldest (smallest, most mask-constraining) levels
-// from the run until it satisfies freezeParams; ok is false when not even a
-// single level fits.
-func shrinkFreeze(run []*level) (sub []*level, p freezePlan, ok bool) {
-	for len(run) >= 1 {
-		if p, ok = freezeParams(run); ok {
-			return run, p, true
-		}
-		run = run[1:]
-	}
-	return nil, freezePlan{}, false
-}
-
-// planFreezes partitions every gated run into freezable segments, newest
-// first, mirroring planRun's splice discipline: plans come out in
-// descending hi order with disjoint segments.
-func planFreezes(ls []*level, gate func(*level) bool) []freezePlan {
-	var plans []freezePlan
-	runs := freezeRuns(ls, gate)
-	for i := len(runs) - 1; i >= 0; i-- {
-		hi := runs[i].hi
-		for hi > runs[i].lo {
-			sub, p, ok := shrinkFreeze(ls[runs[i].lo:hi])
-			if !ok {
-				break
-			}
-			p.hi = hi
-			p.sub = sub
-			plans = append(plans, p)
-			hi -= len(sub)
-		}
-	}
-	return plans
+// planFreezes plans a fuse rebuild of every run of frozen VQF levels that
+// pass the gate (nil accepts everything), dropping the oldest levels of a
+// run that cannot meet its budget. Unlike compaction a single level is a
+// worthwhile freeze unit — the win is the representation, not the merge.
+func planFreezes(ls []*level, gate func(*level) bool) []plan {
+	return planSegments(ls, vqfRuns(ls, 1, gate), 1, func(seg []*level) (plan, bool) {
+		return shrink(seg, 1, fusePlan)
+	})
 }
 
 // buildFuseLevel folds every source instance's canonical hash to its pair
-// representative and builds the immutable level. The returned level carries
-// the summed budget and the analytic FPR as its geomFPR.
-func buildFuseLevel(p freezePlan) (*level, error) {
-	srcKind := p.sub[0].kind
-	foldMask := p.foldBlocks - 1
-	keys := make([]uint64, 0, sumCounts(p.sub))
-	for _, src := range p.sub {
-		if srcKind == 8 {
-			src.filter.IterateHashes(func(h uint64) bool {
-				keys = append(keys, core.FoldHash8(h, foldMask))
-				return true
-			})
-		} else {
-			src.filter.IterateHashes(func(h uint64) bool {
-				keys = append(keys, core.FoldHash16(h, foldMask))
-				return true
-			})
-		}
+// representative and builds the immutable level; nil means peeling failed
+// (vanishingly rare) and the sources stay as they are.
+func buildFuseLevel(s fuseSpec, srcs []*level) *level {
+	fold := core.FoldHash16
+	if s.srcKind == 8 {
+		fold = core.FoldHash8
 	}
-	fl, err := newFuseLevel(srcKind, p.fpBits, p.foldBlocks, keys)
+	foldMask := s.foldBlocks - 1
+	keys := make([]uint64, 0, sumCounts(srcs))
+	for _, src := range srcs {
+		src.filter.IterateHashes(func(h uint64) bool {
+			keys = append(keys, fold(h, foldMask))
+			return true
+		})
+	}
+	fl, err := newFuseLevel(s.srcKind, s.fpBits, s.foldBlocks, keys)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	lvl := &level{filter: fl, kind: fuseKindFor(srcKind), budget: p.budget, geomFPR: p.geomFPR}
-	stampFrozen(lvl)
-	return lvl, nil
+	return fl.asLevel(s.budget)
+}
+
+// asLevel wraps l in a cascade level with the given budget. Its geomFPR is
+// the analytic FPR: the canonical-collision term at the frozen population
+// plus the fuse fingerprint term 2⁻ʷ.
+func (l *fuseLevel) asLevel(budget float64) *level {
+	return &level{filter: l, kind: fuseKindFor(l.srcKind), budget: budget,
+		geomFPR: canonFPR(l.srcKind, l.baseTotal, l.foldBlocks) + math.Pow(2, -float64(l.fpBits))}
 }
 
 // autoFreezeGate builds the WithAutoFreeze eligibility predicate: a level
@@ -705,347 +646,34 @@ func autoFreezeGate(cfg Config) func(*level) bool {
 	}
 }
 
-// FreezeNow rebuilds every qualifying run of frozen VQF levels into
-// immutable fuse levels, synchronously. Runs that cannot meet their budget
-// in the fuse representation stay as they are; all-empty runs are dropped
-// and their budgets retired into the reclaimed pool.
-func (f *Filter) FreezeNow() FreezeResult { return f.freeze(nil) }
-
-func (f *Filter) freeze(gate func(*level) bool) FreezeResult {
-	res := FreezeResult{LevelsBefore: len(f.levels), LevelsAfter: len(f.levels)}
-	plans := planFreezes(f.levels, gate)
-	if len(plans) == 0 {
-		return res
-	}
-	var runLive uint64
-	for _, p := range plans {
-		runLive += sumCounts(p.sub)
-	}
-	f.ring.Record(telemetry.EvFreezeStart, uint64(len(f.levels)), runLive, 0)
-	end := telemetry.Task("vqf.elastic.freeze")
-	start := time.Now()
-	// Plans arrive in descending hi order; splicing forward keeps earlier
-	// indices valid.
-	for _, p := range plans {
-		lo := p.hi - len(p.sub)
-		if p.drop {
-			f.reclaimed += p.budget
-			f.levels = append(f.levels[:lo], f.levels[p.hi:]...)
-			res.LevelsFrozen += len(p.sub)
-			continue
-		}
-		lvl, err := buildFuseLevel(p)
-		if err != nil {
-			continue // peeling failed (vanishingly rare); sources stay as-is
-		}
-		f.levels = append(f.levels[:lo+1], f.levels[p.hi:]...)
-		f.levels[lo] = lvl
-		res.LevelsFrozen += len(p.sub)
-		res.FuseLevels++
-	}
-	end()
-	res.LevelsAfter = len(f.levels)
-	if res.LevelsFrozen > 0 {
-		f.freezes++
-		f.freezeLevels += uint64(res.LevelsFrozen)
-	}
-	f.ring.Record(telemetry.EvFreezeFinish,
-		uint64(res.LevelsFrozen), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeFreeze runs an auto-gated freeze when the config enables it.
-func (f *Filter) maybeFreeze() {
-	if !f.cfg.AutoFreeze {
-		return
-	}
-	f.freeze(autoFreezeGate(f.cfg))
-}
-
-// maybeThaw thaws any fuse level whose tombstone ledger crossed the
-// threshold (inline; the sequential filter has no background goroutines).
-func (f *Filter) maybeThaw() {
-	for i := 0; i < len(f.levels); i++ {
-		if fl, ok := f.levels[i].filter.(*fuseLevel); ok && fl.needsThaw() {
-			f.thawAt(i)
+// planThaws plans a rebuild of every fuse level whose tombstone ledger
+// crossed the thaw threshold, newest first; a fully tombstoned level is
+// dropped and its budget reclaimed.
+func planThaws(cfg Config, ls []*level) []plan {
+	var plans []plan
+	for i := len(ls) - 1; i >= 0; i-- {
+		if fl, ok := ls[i].filter.(*fuseLevel); ok && fl.needsThaw() {
+			lvl := ls[i]
+			plans = append(plans, plan{hi: i + 1, sub: ls[i : i+1], drop: fl.Count() == 0,
+				build: func() *level { return thawedLevel(cfg, lvl) }})
 		}
 	}
-}
-
-// thawAt rebuilds the fuse level at index i into live form; a fully
-// tombstoned level is dropped and its budget reclaimed.
-func (f *Filter) thawAt(i int) {
-	lvl := f.levels[i]
-	fl := lvl.filter.(*fuseLevel)
-	if fl.Count() == 0 {
-		f.reclaimed += lvl.budget
-		f.levels = append(f.levels[:i], f.levels[i+1:]...)
-		f.thaws++
-		return
-	}
-	nlvl := thawedLevel(f.cfg, lvl)
-	if nlvl == nil {
-		return
-	}
-	setLevelRing(nlvl, f.ring)
-	f.levels[i] = nlvl
-	f.thaws++
+	return plans
 }
 
 // thawedLevel rebuilds a tombstone-laden fuse level into live form: a
 // right-sized VQF level when the survivors fit under the fold's cross-mask
 // bound, else a fresh fuse level without the dead keys. nil means the
-// rebuild failed and the caller keeps the original.
+// rebuild failed and the original stays.
 func thawedLevel(cfg Config, lvl *level) *level {
 	fl := lvl.filter.(*fuseLevel)
-	live := fl.Count()
-	srcKind := fl.srcKind
-	spb, geom := uint64(minifilter.B8Slots), FPR8Full
-	if srcKind == 16 {
-		spb, geom = minifilter.B16Slots, FPR16Full
+	src := []*level{lvl}
+	nblocks := vqfBlocks(cfg, fl.srcKind, fl.Count(), lvl.budget)
+	if nl := rebuildVQF(cfg, fl.srcKind, lvl.budget, nblocks, fl.foldBlocks, src); nl != nil {
+		return nl
 	}
-	need := float64(live) / cfg.FillThreshold
-	if byFPR := float64(live) * geom / lvl.budget; byFPR > need {
-		need = byFPR
-	}
-	for nblocks := core.BlocksFor(uint64(need), spb); nblocks <= fl.foldBlocks; nblocks *= 2 {
-		dst := newMergedLevel(cfg, srcKind, nblocks, lvl.budget)
-		ok := true
-		fl.IterateHashes(func(h uint64) bool {
-			if !dst.filter.Insert(h) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if ok {
-			stampFrozen(dst)
-			return dst
-		}
-	}
-	// Survivors need more blocks than the fold bound allows back into VQF
-	// geometry: re-fuse without the tombstoned keys instead.
-	keys := make([]uint64, 0, live)
-	fl.IterateHashes(func(h uint64) bool {
-		keys = append(keys, h)
-		return true
-	})
-	buckets, fpSpace := float64(minifilter.B8Buckets), 256.0
-	if srcKind == 16 {
-		buckets, fpSpace = float64(minifilter.B16Buckets), 65536.0
-	}
-	nfl, err := newFuseLevel(srcKind, fl.fpBits, fl.foldBlocks, keys)
-	if err != nil {
-		return nil
-	}
-	canonFPR := 2 * float64(nfl.baseTotal) / (float64(fl.foldBlocks) * buckets * fpSpace)
-	nl := &level{
-		filter:  nfl,
-		kind:    lvl.kind,
-		budget:  lvl.budget,
-		geomFPR: canonFPR + math.Pow(2, -float64(fl.fpBits)),
-	}
-	stampFrozen(nl)
-	return nl
+	return buildFuseLevel(fuseSpec{fl.srcKind, fl.fpBits, fl.foldBlocks, lvl.budget}, src)
 }
-
-// FreezeNow rebuilds every qualifying run of frozen VQF levels into
-// immutable fuse levels while readers stay lock-free and writers keep
-// writing, reusing the compaction protocol (see CFilter.CompactNow): plan
-// under growMu, removeMu barrier to publish the frozen set, off-lock build
-// from per-block snapshots, second barrier to reconcile the remove log and
-// swap the level list.
-func (f *CFilter) FreezeNow() FreezeResult { return f.freeze(nil) }
-
-func (f *CFilter) freeze(gate func(*level) bool) FreezeResult {
-	f.growMu.Lock()
-	defer f.growMu.Unlock()
-	ls := *f.levels.Load()
-	res := FreezeResult{LevelsBefore: len(ls), LevelsAfter: len(ls)}
-	plans := planFreezes(ls, gate)
-	if len(plans) == 0 {
-		return res
-	}
-	st := &compactState{frozen: map[*level]struct{}{}}
-	var runLive uint64
-	for _, p := range plans {
-		runLive += sumCounts(p.sub)
-		for _, l := range p.sub {
-			st.frozen[l] = struct{}{}
-		}
-	}
-	f.ring.Record(telemetry.EvFreezeStart, uint64(len(ls)), runLive, 0)
-	end := telemetry.Task("vqf.elastic.freeze")
-	start := time.Now()
-
-	f.removeMu.Lock()
-	// Seal the sources inside the barrier so a stale inserter can never land
-	// in a run the fuse build has already iterated; see CFilter.insertLevel.
-	for l := range st.frozen {
-		l.sealed.Store(true)
-	}
-	f.compact.Store(st)
-	f.removeMu.Unlock()
-
-	built := make([]*level, len(plans))
-	for i, p := range plans {
-		if p.drop {
-			continue
-		}
-		if lvl, err := buildFuseLevel(p); err == nil {
-			built[i] = lvl
-		}
-	}
-
-	f.removeMu.Lock()
-	next := append([]*level(nil), ls...)
-	for i, p := range plans {
-		lo := p.hi - len(p.sub)
-		if p.drop {
-			// Empty at plan time stays empty: removes cannot hit a level
-			// with no surviving fingerprints, so no reconcile is needed.
-			f.addReclaimed(p.budget)
-			next = append(next[:lo], next[p.hi:]...)
-			res.LevelsFrozen += len(p.sub)
-			continue
-		}
-		if built[i] == nil {
-			continue
-		}
-		reconcile(built[i], p.sub, st.log)
-		next = append(next[:lo+1], next[p.hi:]...)
-		next[lo] = built[i]
-		res.LevelsFrozen += len(p.sub)
-		res.FuseLevels++
-	}
-	if res.LevelsFrozen > 0 {
-		f.levels.Store(&next)
-		f.freezes.Add(1)
-		f.freezeLevels.Add(uint64(res.LevelsFrozen))
-	}
-	f.compact.Store(nil)
-	f.removeMu.Unlock()
-	end()
-	res.LevelsAfter = len(next)
-	f.ring.Record(telemetry.EvFreezeFinish,
-		uint64(res.LevelsFrozen), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeFreeze fires a background auto-gated freeze. The freezing gate keeps
-// freeze and thaw goroutines from stacking; explicit FreezeNow calls
-// serialize on growMu independently.
-func (f *CFilter) maybeFreeze() {
-	if !f.cfg.AutoFreeze {
-		return
-	}
-	if len(planFreezes(*f.levels.Load(), autoFreezeGate(f.cfg))) == 0 {
-		return
-	}
-	if !f.freezing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer f.freezing.Store(false)
-		f.freeze(autoFreezeGate(f.cfg))
-	}()
-}
-
-// maybeThaw fires a background thaw pass when some fuse level crossed the
-// tombstone threshold.
-func (f *CFilter) maybeThaw() {
-	if !f.freezing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer f.freezing.Store(false)
-		f.thawNow()
-	}()
-}
-
-// thawNow rebuilds every fuse level past the thaw threshold, one at a time
-// under the compaction protocol (the fuse level is the single "frozen"
-// source; racing removes log themselves and reconcile replays them against
-// the rebuilt level).
-func (f *CFilter) thawNow() {
-	for {
-		f.growMu.Lock()
-		ls := *f.levels.Load()
-		idx := -1
-		for i, lvl := range ls {
-			if fl, ok := lvl.filter.(*fuseLevel); ok && fl.needsThaw() {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			f.growMu.Unlock()
-			return
-		}
-		lvl := ls[idx]
-		fl := lvl.filter.(*fuseLevel)
-
-		if fl.Count() == 0 {
-			// Fully tombstoned: no remove can hit it again (every key's
-			// ledger is saturated), so it can be spliced out directly.
-			f.removeMu.Lock()
-			next := append([]*level(nil), ls...)
-			next = append(next[:idx], next[idx+1:]...)
-			f.addReclaimed(lvl.budget)
-			f.levels.Store(&next)
-			f.thaws.Add(1)
-			f.removeMu.Unlock()
-			f.growMu.Unlock()
-			continue
-		}
-
-		st := &compactState{frozen: map[*level]struct{}{lvl: {}}}
-		f.removeMu.Lock()
-		f.compact.Store(st)
-		f.removeMu.Unlock()
-
-		nlvl := thawedLevel(f.cfg, lvl)
-		if nlvl != nil {
-			setLevelRing(nlvl, f.ring)
-		}
-
-		f.removeMu.Lock()
-		if nlvl != nil {
-			reconcile(nlvl, []*level{lvl}, st.log)
-			next := append([]*level(nil), ls...)
-			next[idx] = nlvl
-			f.levels.Store(&next)
-			f.thaws.Add(1)
-		}
-		f.compact.Store(nil)
-		f.removeMu.Unlock()
-		f.growMu.Unlock()
-		if nlvl == nil {
-			return // rebuild failed; retrying immediately would spin
-		}
-	}
-}
-
-// addReclaimed retires budget into the reclaimed pool. Called only under
-// growMu; stored as float bits so readers can load it without the lock.
-func (f *CFilter) addReclaimed(b float64) {
-	f.reclaimed.Store(math.Float64bits(math.Float64frombits(f.reclaimed.Load()) + b))
-}
-
-// Reclaimed returns the budget retired from dropped levels; see
-// Filter.Reclaimed.
-func (f *CFilter) Reclaimed() float64 {
-	return math.Float64frombits(f.reclaimed.Load())
-}
-
-// Reclaimed returns the total FPR budget retired from dropped (emptied)
-// levels. The cascade invariant is
-//
-//	Σ live level budgets + Reclaimed + ε·rˢᶜʰᵉᵈ = ε
-//
-// — budgets move between the three pools (future schedule → live levels at
-// growth, live → reclaimed at empty-drop) but are never created or reused.
-func (f *Filter) Reclaimed() float64 { return f.reclaimed }
 
 // FreezeNow freezes every shard, summing the per-shard results.
 func (f *Sharded) FreezeNow() FreezeResult {

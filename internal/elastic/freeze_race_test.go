@@ -205,7 +205,7 @@ func TestThawRaceConcurrent(t *testing.T) {
 	done.Store(true)
 	lookers.Wait()
 
-	f.thawNow() // drain any remaining over-threshold levels inline
+	f.run(opThaw) // drain any remaining over-threshold levels inline
 	if f.Count() != uint64(len(keys)-cut) {
 		t.Fatalf("count %d after thaw churn, want %d", f.Count(), len(keys)-cut)
 	}

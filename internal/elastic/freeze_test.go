@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vqf/internal/workload"
@@ -53,7 +54,7 @@ func TestFreezeChurnedCascade(t *testing.T) {
 			t.Fatalf("freeze lost key %#x", k)
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, &f.cascade)
 
 	// Realized FPR over fresh never-inserted keys stays within the budget.
 	probes := workload.NewStream(888).Keys(300000)
@@ -172,7 +173,7 @@ func TestFreezeThaw(t *testing.T) {
 			t.Fatalf("remove of live key %#x failed", k)
 		}
 	}
-	if f.thaws == 0 {
+	if f.thaws.Load() == 0 {
 		t.Fatal("tombstone pressure never thawed a level")
 	}
 	for _, l := range f.levels {
@@ -197,7 +198,7 @@ func TestFreezeThaw(t *testing.T) {
 	if rate := float64(fp) / float64(cut); rate > 4*cfg.TargetFPR {
 		t.Fatalf("removed keys answer true at %g after thaw", rate)
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, &f.cascade)
 }
 
 // TestFreezeDegenerateCascades drives FreezeNow and CompactNow over the
@@ -253,10 +254,10 @@ func TestFreezeDegenerateCascades(t *testing.T) {
 		if f.NumLevels() >= depth {
 			t.Fatalf("dropping empties did not shrink: %d -> %d", depth, f.NumLevels())
 		}
-		if f.reclaimed == 0 {
+		if f.Reclaimed() == 0 {
 			t.Fatal("dropped budgets were not reclaimed")
 		}
-		checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+		checkBudgetInvariant(t, &f.cascade)
 	})
 }
 
@@ -288,8 +289,8 @@ func TestFreezeSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("reload mismatch: sched %d/%d levels %d/%d count %d/%d",
 			g.sched, f.sched, g.NumLevels(), f.NumLevels(), g.Count(), f.Count())
 	}
-	if g.reclaimed != f.reclaimed {
-		t.Fatalf("reclaimed pool %g did not survive the round trip (want %g)", g.reclaimed, f.reclaimed)
+	if g.Reclaimed() != f.Reclaimed() {
+		t.Fatalf("reclaimed pool %g did not survive the round trip (want %g)", g.Reclaimed(), f.Reclaimed())
 	}
 	for i := range f.levels {
 		if g.levels[i].budget != f.levels[i].budget || g.levels[i].kind != f.levels[i].kind {
@@ -317,7 +318,7 @@ func TestFreezeSerializeRoundTrip(t *testing.T) {
 			t.Fatal("remove on reloaded cascade failed")
 		}
 	}
-	checkBudgetInvariant(t, g.cfg, g.levels, g.sched, g.reclaimed)
+	checkBudgetInvariant(t, &g.cascade)
 }
 
 func TestFreezeAutoTrigger(t *testing.T) {
@@ -331,7 +332,7 @@ func TestFreezeAutoTrigger(t *testing.T) {
 	for _, k := range keys {
 		f.Insert(k)
 	}
-	if f.freezes == 0 {
+	if f.freezes.Load() == 0 {
 		t.Fatal("auto-freeze never fired across growths")
 	}
 	if fuseLevelCount(f.levels) == 0 {
@@ -342,7 +343,7 @@ func TestFreezeAutoTrigger(t *testing.T) {
 			t.Fatal("auto-freeze lost a key")
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, &f.cascade)
 }
 
 func TestFreezeValidationRejectsBadPolicy(t *testing.T) {
@@ -357,54 +358,95 @@ func TestFreezeValidationRejectsBadPolicy(t *testing.T) {
 	}
 }
 
+// budgetSubject is one cascade filter under TestBudgetInvariantUnderInterleavings:
+// its operations, its shared cascade state, and settle, which waits out any
+// background structural op so the state can be read.
+type budgetSubject struct {
+	f interface {
+		Insert(uint64) bool
+		Remove(uint64) bool
+		Contains(uint64) bool
+		Count() uint64
+		CompactNow() CompactionResult
+		FreezeNow() FreezeResult
+	}
+	c      *cascade
+	settle func()
+}
+
 // TestBudgetInvariantUnderInterleavings is the accounting property test:
 // across a seeded random interleaving of grow (insert bursts), remove
 // churn, CompactNow, FreezeNow and thaw (the removes trip it), the cascade
 // budget ledger must balance after every step — Σ live level budgets +
 // reclaimed equals the spent schedule prefix exactly, and adding the
-// unspent tail never exceeds ε.
+// unspent tail never exceeds ε — and Count must be exact. It runs against
+// the sequential Filter, where every op is inline, and against CFilter,
+// where the same script goes through the sealing, remove-log and swap path
+// and thaws run on a background goroutine.
 func TestBudgetInvariantUnderInterleavings(t *testing.T) {
 	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9}
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		f, _ := New(cfg)
-		stream := workload.NewStream(uint64(29 + seed))
-		var liveKeys []uint64
-		steps := 60
-		if testing.Short() {
-			steps = 20
-		}
-		for step := 0; step < steps; step++ {
-			switch rng.Intn(4) {
-			case 0: // grow
-				batch := stream.Keys(500 + rng.Intn(3000))
-				for _, k := range batch {
-					if !f.Insert(k) {
-						t.Fatal("insert failed")
-					}
+	subjects := []struct {
+		name string
+		new  func() budgetSubject
+	}{
+		{"sequential", func() budgetSubject {
+			f, _ := New(cfg)
+			return budgetSubject{f, &f.cascade, func() {}}
+		}},
+		{"concurrent", func() budgetSubject {
+			f, _ := NewConcurrent(cfg)
+			return budgetSubject{f, &f.cascade, func() {
+				for f.freezing.Load() || f.compacting.Load() {
+					runtime.Gosched()
 				}
-				liveKeys = append(liveKeys, batch...)
-			case 1: // churn (may trip thaw on frozen levels)
-				n := len(liveKeys) / 3
-				for _, k := range liveKeys[:n] {
-					if !f.Remove(k) {
-						t.Fatalf("remove of live key %#x failed", k)
+			}}
+		}},
+	}
+	for _, sub := range subjects {
+		name := sub.name
+		for _, seed := range []int64{1, 2, 3} {
+			rng := rand.New(rand.NewSource(seed))
+			s := sub.new()
+			f := s.f
+			stream := workload.NewStream(uint64(29 + seed))
+			var liveKeys []uint64
+			steps := 60
+			if testing.Short() {
+				steps = 20
+			}
+			for step := 0; step < steps; step++ {
+				switch rng.Intn(4) {
+				case 0: // grow
+					batch := stream.Keys(500 + rng.Intn(3000))
+					for _, k := range batch {
+						if !f.Insert(k) {
+							t.Fatal("insert failed")
+						}
 					}
+					liveKeys = append(liveKeys, batch...)
+				case 1: // churn (may trip thaw on frozen levels)
+					n := len(liveKeys) / 3
+					for _, k := range liveKeys[:n] {
+						if !f.Remove(k) {
+							t.Fatalf("%s seed %d: remove of live key %#x failed", name, seed, k)
+						}
+					}
+					liveKeys = liveKeys[n:]
+				case 2:
+					f.CompactNow()
+				case 3:
+					f.FreezeNow()
 				}
-				liveKeys = liveKeys[n:]
-			case 2:
-				f.CompactNow()
-			case 3:
-				f.FreezeNow()
+				s.settle()
+				checkBudgetInvariant(t, s.c)
+				if f.Count() != uint64(len(liveKeys)) {
+					t.Fatalf("%s seed %d step %d: count %d, want %d live", name, seed, step, f.Count(), len(liveKeys))
+				}
 			}
-			checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
-			if f.Count() != uint64(len(liveKeys)) {
-				t.Fatalf("seed %d step %d: count %d, want %d live", seed, step, f.Count(), len(liveKeys))
-			}
-		}
-		for _, k := range liveKeys {
-			if !f.Contains(k) {
-				t.Fatalf("seed %d: lost live key %#x", seed, k)
+			for _, k := range liveKeys {
+				if !f.Contains(k) {
+					t.Fatalf("%s seed %d: lost live key %#x", name, seed, k)
+				}
 			}
 		}
 	}

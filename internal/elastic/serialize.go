@@ -71,7 +71,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(f.cfg.TightenRatio))
 	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(f.cfg.FillThreshold))
 	binary.LittleEndian.PutUint64(hdr[48:], f.cfg.InitialSlots)
-	binary.LittleEndian.PutUint64(hdr[56:], math.Float64bits(f.reclaimed))
+	binary.LittleEndian.PutUint64(hdr[56:], f.reclaimed.Load())
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -102,20 +102,16 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 // readLevelStream reads one core filter stream of the given kind, checking
 // it against the expected slot count, and wraps it in a level.
 func readLevelStream(r io.Reader, kind uint8, slots uint64, budget float64, trigger uint64) (*level, error) {
-	lvl := &level{kind: kind, budget: budget, trigger: trigger, geomFPR: FPR16Full}
+	lvl := &level{kind: kind, budget: budget, trigger: trigger}
+	_, lvl.geomFPR = vqfGeometry(kind)
+	var err error
 	if kind == 8 {
-		lvl.geomFPR = FPR8Full
-		impl, err := core.ReadFilter8Sized(r, slots)
-		if err != nil {
-			return nil, err
-		}
-		lvl.filter = impl
+		lvl.filter, err = core.ReadFilter8Sized(r, slots)
 	} else {
-		impl, err := core.ReadFilter16Sized(r, slots)
-		if err != nil {
-			return nil, err
-		}
-		lvl.filter = impl
+		lvl.filter, err = core.ReadFilter16Sized(r, slots)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return lvl, nil
 }
@@ -157,16 +153,18 @@ func Read(r io.Reader) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 	}
-	f := &Filter{cfg: cfg, levels: make([]*level, 0, nlevels)}
+	f := newFilter(cfg, make([]*level, 0, nlevels), 0)
+	var reclaimed float64
 	if version >= 3 {
 		var ext [8]byte
 		if _, err := io.ReadFull(r, ext[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 		}
-		f.reclaimed = math.Float64frombits(binary.LittleEndian.Uint64(ext[:]))
-		if !(f.reclaimed >= 0 && f.reclaimed < cfg.TargetFPR) {
-			return nil, fmt.Errorf("%w: reclaimed budget %g outside [0, ε)", core.ErrBadFormat, f.reclaimed)
+		reclaimed = math.Float64frombits(binary.LittleEndian.Uint64(ext[:]))
+		if !(reclaimed >= 0 && reclaimed < cfg.TargetFPR) {
+			return nil, fmt.Errorf("%w: reclaimed budget %g outside [0, ε)", core.ErrBadFormat, reclaimed)
 		}
+		f.addReclaimed(reclaimed)
 	}
 
 	if version == 1 {
@@ -219,10 +217,7 @@ func Read(r io.Reader) (*Filter, error) {
 			f.levels = append(f.levels, lvl)
 			continue
 		}
-		spb := uint64(minifilter.B16Slots)
-		if kind == 8 {
-			spb = minifilter.B8Slots
-		}
+		spb, _ := vqfGeometry(kind)
 		slots := (uint64(1) << blocksLog2) * spb
 		if trigger < 1 || trigger > slots {
 			return nil, fmt.Errorf("%w: level %d trigger %d outside [1, %d]", core.ErrBadFormat, i, trigger, slots)
@@ -236,8 +231,8 @@ func Read(r io.Reader) (*Filter, error) {
 	// Budgets (plus the retired reclaimed pool) must not overspend the
 	// cascade's ε; the tiny slack absorbs float summation error (merges and
 	// freezes store exact sums of schedule terms).
-	if budgetSum+f.reclaimed > cfg.TargetFPR*(1+1e-9) {
-		return nil, fmt.Errorf("%w: level budgets sum to %g, exceeding target FPR %g", core.ErrBadFormat, budgetSum+f.reclaimed, cfg.TargetFPR)
+	if budgetSum+reclaimed > cfg.TargetFPR*(1+1e-9) {
+		return nil, fmt.Errorf("%w: level budgets sum to %g, exceeding target FPR %g", core.ErrBadFormat, budgetSum+reclaimed, cfg.TargetFPR)
 	}
 	return f, nil
 }
@@ -537,11 +532,5 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	l.tombTotal.Store(removedSum)
 	l.live.Store(baseTotal - removedSum)
 
-	canonFPR := 2 * float64(baseTotal) / (float64(foldBlocks) * float64(buckets) * float64(uint64(1)<<srcBits))
-	return &level{
-		filter:  l,
-		kind:    kind,
-		budget:  budget,
-		geomFPR: canonFPR + math.Pow(2, -float64(fpBits)),
-	}, nil
+	return l.asLevel(budget), nil
 }

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"vqf/internal/core"
 	"vqf/internal/stats"
 )
 
@@ -20,17 +21,6 @@ type Sharded struct {
 	cfg       Config
 }
 
-// maxShardBits mirrors the core sharded filters' 256-shard cap.
-const maxShardBits = 8
-
-func shardBitsFor(n int) uint {
-	bits := uint(0)
-	for 1<<bits < n && bits < maxShardBits {
-		bits++
-	}
-	return bits
-}
-
 // NewSharded creates a sharded concurrent cascade with nshards shards
 // (rounded up to a power of two, clamped to [1, 256]). cfg.InitialSlots is
 // the whole filter's initial budget; each shard starts at its 1/nshards
@@ -39,7 +29,7 @@ func NewSharded(cfg Config, nshards int) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bits := shardBitsFor(nshards)
+	bits := core.ShardBitsFor(nshards)
 	n := 1 << bits
 	per := cfg.InitialSlots / uint64(n)
 	if per < minSlotsPerShard {

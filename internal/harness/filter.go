@@ -12,13 +12,10 @@
 package harness
 
 import (
-	"math/bits"
-
 	"vqf/internal/bloom"
 	"vqf/internal/core"
 	"vqf/internal/cuckoo"
 	"vqf/internal/morton"
-	"vqf/internal/quotient"
 	"vqf/internal/rsqf"
 )
 
@@ -77,14 +74,6 @@ func SpecVQF8Generic() Spec {
 func SpecQF8() Spec {
 	return Spec{Name: "qf", MaxLoad: 0.95, New: func(n uint64) (Filter, error) {
 		return rsqf.NewForSlots(n, 8)
-	}}
-}
-
-// SpecQFClassic8 is the classic 3-bit-metadata quotient filter (the
-// resizable/mergeable variant), reported alongside Table 2 for reference.
-func SpecQFClassic8() Spec {
-	return Spec{Name: "qf-classic", MaxLoad: 0.95, New: func(n uint64) (Filter, error) {
-		return quotient.New(log2ceil(n), 8)
 	}}
 }
 
@@ -163,11 +152,4 @@ func SpecMF16() Spec {
 // SpecsFPR16 is the ε ≈ 2⁻¹⁶ line-up for Figure 6c/6d.
 func SpecsFPR16() []Spec {
 	return []Spec{SpecVQF16(), SpecVQF16Shortcut(), SpecQF16(), SpecCF16(), SpecMF16()}
-}
-
-func log2ceil(n uint64) uint {
-	if n <= 2 {
-		return 1
-	}
-	return uint(bits.Len64(n - 1))
 }
