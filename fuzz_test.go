@@ -3,14 +3,15 @@ package vqf
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 )
 
 // FuzzRead feeds arbitrary bytes to every deserializer in the package —
-// Filter, Map and Elastic share the envelope format, so each decoder sees
-// the others' streams too. All three must reject malformed input with an
-// error (never a panic or a giant allocation) and round-trip anything they
-// accept.
+// Filter (sequential and concurrent), Map, Elastic and Frozen share the
+// envelope format, so each decoder sees the others' streams too. All of
+// them must reject malformed input with an error (never a panic or a giant
+// allocation) and round-trip anything they accept.
 func FuzzRead(f *testing.F) {
 	var filterBuf bytes.Buffer
 	g := New(100)
@@ -46,6 +47,30 @@ func FuzzRead(f *testing.F) {
 	fe.WriteTo(&frozenBuf)
 	f.Add(frozenBuf.Bytes())
 
+	// Sharded streams in both geometries (kind 'S', a VQSH sub-header then
+	// one core stream per shard), a concurrent stream, and a standalone
+	// frozen filter (kind 'F').
+	var sharded8Buf, sharded16Buf, concBuf, frozenFBuf bytes.Buffer
+	s8 := NewSharded(200, 4)
+	s16 := NewSharded(200, 4, WithFalsePositiveRate(1e-4))
+	c := NewConcurrent(100)
+	for i := uint64(0); i < 100; i++ {
+		s8.AddUint64(i)
+		s16.AddUint64(i)
+		c.AddUint64(i)
+	}
+	s8.WriteTo(&sharded8Buf)
+	s16.WriteTo(&sharded16Buf)
+	c.WriteTo(&concBuf)
+	fz, err := NewFrozen([][]byte{[]byte("a"), []byte("b"), []byte("c")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fz.WriteTo(&frozenFBuf)
+	for _, b := range [][]byte{sharded8Buf.Bytes(), sharded16Buf.Bytes(), concBuf.Bytes(), frozenFBuf.Bytes()} {
+		f.Add(b)
+	}
+
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
 
@@ -66,13 +91,28 @@ func FuzzRead(f *testing.F) {
 	lvlBlocks := binary.LittleEndian.Uint64(forgedLevel[16+56+8:])
 	binary.LittleEndian.PutUint64(forgedLevel[16+56+8:], lvlBlocks/2)
 	f.Add(forgedLevel)
+
+	// A VQSH sub-header (after the envelope) whose shard count, at +8, is
+	// not a power of two.
+	forgedShards := append([]byte(nil), sharded8Buf.Bytes()...)
+	binary.LittleEndian.PutUint32(forgedShards[16+8:], 3)
+	f.Add(forgedShards)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, err := Read(bytes.NewReader(data)); err == nil {
-			// Anything accepted must be a usable filter that re-serializes.
+		for _, read := range []func(io.Reader) (*Filter, error){Read, ReadConcurrent} {
+			if got, err := read(bytes.NewReader(data)); err == nil {
+				// Anything accepted must be a usable filter that re-serializes.
+				got.ContainsString("probe")
+				var out bytes.Buffer
+				if _, err := got.WriteTo(&out); err != nil {
+					t.Fatalf("re-serialize of accepted filter failed: %v", err)
+				}
+			}
+		}
+		if got, err := ReadFrozen(bytes.NewReader(data)); err == nil {
 			got.ContainsString("probe")
 			var out bytes.Buffer
 			if _, err := got.WriteTo(&out); err != nil {
-				t.Fatalf("re-serialize of accepted filter failed: %v", err)
+				t.Fatalf("re-serialize of accepted frozen filter failed: %v", err)
 			}
 		}
 		if got, err := NewMapFromReader(bytes.NewReader(data)); err == nil {

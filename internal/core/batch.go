@@ -8,7 +8,11 @@ package core
 // additionally fan the partitions out across a worker pool
 // (concurrent_batch.go).
 
+import "math/bits"
+
 const (
+	// batchRadixBits caps the width of every radix partition (block and
+	// shard), so a partition has at most batchShards parts.
 	batchRadixBits = 8
 	batchShards    = 1 << batchRadixBits
 
@@ -25,69 +29,59 @@ const (
 )
 
 // maxIdxSegment bounds any single radix pass that carries int32 scatter
-// indices (partitionIdx/radixPartitionIdx); larger batches are processed in
+// indices (radixSort with idx); larger batches are processed in
 // segments so the indices always fit. A variable so tests can shrink it and
 // exercise the segmented path without multi-gigabyte inputs.
 var maxIdxSegment = 1 << 30
 
-// batchRadix maps a key hash to its shard: the top batchRadixBits bits of
-// the primary block index. effShift is precomputed by effectiveShift(mask).
-// The final mask is a no-op by construction; it lets the compiler prove
-// shard-array indexing in bounds in the partition loops.
-func batchRadix(h, mask uint64, blockShift, effShift uint) int {
-	return int(((h>>blockShift)&mask)>>effShift) & (batchShards - 1)
-}
-
-// radixPartition reorders hs by shard, so that keys sharing a primary-block
-// prefix are adjacent. It returns the reordered keys and the shard bounds:
-// shard s occupies sorted[bounds[s]:bounds[s+1]].
-func radixPartition(hs []uint64, mask uint64, blockShift uint) (sorted []uint64, bounds [batchShards + 1]int) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
+// radixSort is the one counting sort behind every batch partition. It
+// stably scatters hs into sorted by the radix (h >> shift) & (1<<width − 1)
+// and, when idx is non-nil, records each key's position in hs beside it
+// (int32: callers cut batches into maxIdxSegment-key segments). On return
+// part r occupies sorted[bounds[r]:bounds[r+1]] for r < 1<<width. Two
+// radices use it: the block radix (blockRadix) groups keys by primary-block
+// prefix for sweep locality, and the shard radix (shift 64 − shardBits,
+// width shardBits) groups them by shard. Both are at most batchRadixBits
+// wide. sorted and idx must hold len(hs) elements; they are caller-owned,
+// so the sequential batch path reuses them allocation-free.
+func radixSort(hs, sorted []uint64, idx []int32, bounds *[batchShards + 1]int, shift, width uint) {
+	parts := 1 << width
+	m := uint64(parts-1) & (batchShards - 1) // the second mask proves bounds[r] in range
+	clear(bounds[:parts+1])
 	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
+		bounds[(h>>shift)&m+1]++
 	}
+	// bounds[r+1] becomes part r's write cursor; after the scatter it has
+	// advanced to the part's end, which is bounds[r+1] proper.
 	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
-		sum += c
+	for r := 1; r <= parts; r++ {
+		sum, bounds[r] = sum+bounds[r], sum
 	}
-	bounds[batchShards] = sum
-	sorted = make([]uint64, len(hs))
-	next := bounds
-	for _, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		next[r]++
+	if idx == nil {
+		for _, h := range hs {
+			r := (h>>shift)&m + 1
+			sorted[bounds[r]] = h
+			bounds[r]++
+		}
+		return
 	}
-	return sorted, bounds
-}
-
-// radixPartitionIdx is radixPartition carrying each key's position in hs, so
-// order-sensitive results (ContainsBatch) can be scattered back. Indices are
-// int32; callers split larger batches first.
-func radixPartitionIdx(hs []uint64, mask uint64, blockShift uint) (sorted []uint64, idx []int32, bounds [batchShards + 1]int) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
-	}
-	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
-		sum += c
-	}
-	bounds[batchShards] = sum
-	sorted = make([]uint64, len(hs))
-	idx = make([]int32, len(hs))
-	next := bounds
 	for i, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		idx[next[r]] = int32(i)
-		next[r]++
+		r := (h>>shift)&m + 1
+		sorted[bounds[r]] = h
+		idx[bounds[r]] = int32(i)
+		bounds[r]++
 	}
-	return sorted, idx, bounds
+}
+
+// blockRadix returns the radix of the primary-block partition: the top
+// batchRadixBits bits of the block index, or all of them when the filter
+// has fewer blocks.
+func blockRadix(mask uint64, blockShift uint) (shift, width uint) {
+	width = uint(bits.Len64(mask))
+	if width <= batchRadixBits {
+		return blockShift, width
+	}
+	return blockShift + width - batchRadixBits, batchRadixBits
 }
 
 // applyCount applies op to every key and returns the number of successes.
@@ -120,64 +114,26 @@ type batchScratch struct {
 	sink   uint64
 }
 
-// partition radix-groups hs by primary block into the reusable sorted
-// buffer: keys sharing a block-index prefix become adjacent, so the sweep
-// walks the block array in address order and touches each 64-byte block once
-// per batch.
-func (s *batchScratch) partition(hs []uint64, mask uint64, blockShift uint) []uint64 {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
-	}
-	var next [batchShards]int
-	sum := 0
-	for i, c := range counts {
-		next[i] = sum
-		sum += c
-	}
+// partition radix-groups hs by primary block into the reusable buffers
+// (see radixSort): keys sharing a block-index prefix become adjacent, so the
+// sweep walks the block array in address order and touches each 64-byte
+// block once per batch. With withIdx it also returns each key's position in
+// hs, so order-sensitive results (ContainsBatch) scatter back to input
+// order.
+func (s *batchScratch) partition(hs []uint64, mask uint64, blockShift uint, withIdx bool) (sorted []uint64, idx []int32) {
 	if cap(s.sorted) < len(hs) {
 		s.sorted = make([]uint64, len(hs))
 	}
-	sorted := s.sorted[:len(hs)]
-	for _, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		next[r]++
+	sorted = s.sorted[:len(hs)]
+	if withIdx {
+		if cap(s.idx) < len(hs) {
+			s.idx = make([]int32, len(hs))
+		}
+		idx = s.idx[:len(hs)]
 	}
-	return sorted
-}
-
-// partitionIdx is partition carrying each key's position in hs, so
-// order-sensitive results (ContainsBatch) scatter back to input order.
-// Indices are int32; callers split larger batches first.
-func (s *batchScratch) partitionIdx(hs []uint64, mask uint64, blockShift uint) ([]uint64, []int32) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
-	}
-	var next [batchShards]int
-	sum := 0
-	for i, c := range counts {
-		next[i] = sum
-		sum += c
-	}
-	// Grown separately from partition's sorted buffer: either method may run
-	// first and each only grows what it uses.
-	if cap(s.sorted) < len(hs) {
-		s.sorted = make([]uint64, len(hs))
-	}
-	if cap(s.idx) < len(hs) {
-		s.idx = make([]int32, len(hs))
-	}
-	sorted, idx := s.sorted[:len(hs)], s.idx[:len(hs)]
-	for i, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		idx[next[r]] = int32(i)
-		next[r]++
-	}
+	var bounds [batchShards + 1]int
+	shift, width := blockRadix(mask, blockShift)
+	radixSort(hs, sorted, idx, &bounds, shift, width)
 	return sorted, idx
 }
 
@@ -191,7 +147,7 @@ func (f *Filter8) InsertBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Insert)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift8)
+	sorted, _ := f.scratch.partition(hs, f.mask, blockShift8, false)
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -229,7 +185,7 @@ func (f *Filter8) ContainsBatch(hs []uint64, dst []bool) []bool {
 // containsSegment probes one index-safe segment in radix order, scattering
 // results back to segment order.
 func (f *Filter8) containsSegment(hs []uint64, out []bool) {
-	sorted, idx := f.scratch.partitionIdx(hs, f.mask, blockShift8)
+	sorted, idx := f.scratch.partition(hs, f.mask, blockShift8, true)
 	sink := f.scratch.sink
 	for i, h := range sorted {
 		if i+batchPrefetchDist < len(sorted) {
@@ -248,7 +204,7 @@ func (f *Filter8) RemoveBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Remove)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift8)
+	sorted, _ := f.scratch.partition(hs, f.mask, blockShift8, false)
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -269,7 +225,7 @@ func (f *Filter16) InsertBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Insert)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift16)
+	sorted, _ := f.scratch.partition(hs, f.mask, blockShift16, false)
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -305,7 +261,7 @@ func (f *Filter16) ContainsBatch(hs []uint64, dst []bool) []bool {
 // containsSegment probes one index-safe segment in radix order, scattering
 // results back to segment order.
 func (f *Filter16) containsSegment(hs []uint64, out []bool) {
-	sorted, idx := f.scratch.partitionIdx(hs, f.mask, blockShift16)
+	sorted, idx := f.scratch.partition(hs, f.mask, blockShift16, true)
 	sink := f.scratch.sink
 	for i, h := range sorted {
 		if i+batchPrefetchDist < len(sorted) {
@@ -323,7 +279,7 @@ func (f *Filter16) RemoveBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Remove)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift16)
+	sorted, _ := f.scratch.partition(hs, f.mask, blockShift16, false)
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -336,17 +292,4 @@ func (f *Filter16) RemoveBatch(hs []uint64) int {
 	}
 	f.scratch.sink = sink
 	return n
-}
-
-// effectiveShift returns how far to shift a block index so its top
-// batchRadixBits bits remain.
-func effectiveShift(mask uint64) uint {
-	bitsUsed := uint(0)
-	for m := mask; m != 0; m >>= 1 {
-		bitsUsed++
-	}
-	if bitsUsed <= batchRadixBits {
-		return 0
-	}
-	return bitsUsed - batchRadixBits
 }

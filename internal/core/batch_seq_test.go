@@ -160,7 +160,7 @@ func TestRemoveBatchMatchesPerKey(t *testing.T) {
 	for i := 0; i < len(present); i += 2 {
 		victims = append(victims, present[i], rng.Uint64())
 	}
-	sorted := model.scratch.partition(victims, model.mask, blockShift16)
+	sorted := blockOrder(victims, model.mask, blockShift16)
 	want := 0
 	for _, h := range sorted {
 		if model.Remove(h) {

@@ -191,8 +191,12 @@ func readShardHeader(r io.Reader) (geom uint16, nshards uint32, err error) {
 // WriteTo serializes the sharded filter: the shard sub-header followed by
 // each shard's stream. It implements io.WriterTo; the filter must be
 // quiescent.
-func (f *Sharded8) WriteTo(w io.Writer) (int64, error) {
-	n, err := writeShardHeader(w, 8, uint32(len(f.shards)))
+func (f *ShardedFilter[S]) WriteTo(w io.Writer) (int64, error) {
+	geom := uint16(16)
+	if f.SlotsPerBlock() == minifilter.B8Slots {
+		geom = 8
+	}
+	n, err := writeShardHeader(w, geom, uint32(len(f.shards)))
 	if err != nil {
 		return n, err
 	}
@@ -206,45 +210,24 @@ func (f *Sharded8) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// WriteTo serializes the sharded filter; see Sharded8.WriteTo.
-func (f *Sharded16) WriteTo(w io.Writer) (int64, error) {
-	n, err := writeShardHeader(w, 16, uint32(len(f.shards)))
-	if err != nil {
-		return n, err
-	}
-	for _, s := range f.shards {
-		m, err := s.WriteTo(w)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadSharded deserializes a sharded filter written by Sharded8.WriteTo or
-// Sharded16.WriteTo; exactly one of the returns is non-nil on success (the
-// stream records which geometry it holds).
+// ReadSharded deserializes a sharded filter written by ShardedFilter.WriteTo;
+// exactly one of the returns is non-nil on success (the stream records which
+// geometry it holds).
 func ReadSharded(r io.Reader) (*Sharded8, *Sharded16, error) {
 	geom, nshards, err := readShardHeader(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	bits := ShardBitsFor(int(nshards))
 	if geom == 8 {
-		f := &Sharded8{shards: make([]*CFilter8, nshards), shardBits: bits}
-		for i := range f.shards {
-			if f.shards[i], err = ReadCFilter8(r); err != nil {
-				return nil, nil, fmt.Errorf("shard %d: %w", i, err)
-			}
+		sh, err := NewShardedOf(int(nshards), func(int) (*CFilter8, error) { return ReadCFilter8(r) })
+		if err != nil {
+			return nil, nil, err
 		}
-		return f, nil, nil
+		return &Sharded8{sh}, nil, nil
 	}
-	f := &Sharded16{shards: make([]*CFilter16, nshards), shardBits: bits}
-	for i := range f.shards {
-		if f.shards[i], err = ReadCFilter16(r); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
-		}
+	sh, err := NewShardedOf(int(nshards), func(int) (*CFilter16, error) { return ReadCFilter16(r) })
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, f, nil
+	return nil, &Sharded16{sh}, nil
 }

@@ -4,7 +4,7 @@ import "vqf/internal/telemetry"
 
 // Rare-event hooks. A filter records structured diagnostics into an
 // attached telemetry.Ring: seqlock retry-exhaustion fallbacks here, claim
-// stalls in the sharded batch pools (sharded.go). The ring pointer is
+// stalls in the sharded batch pool (sharded.go). The ring pointer is
 // plain (not atomic): attach it right after construction, before the
 // filter sees traffic — the same publication contract as every other
 // constructor-time option. A nil ring (the default) costs one predicted
@@ -17,23 +17,6 @@ func (f *CFilter8) SetEventRing(r *telemetry.Ring) { f.ring = r }
 // SetEventRing attaches r as the filter's rare-event sink. Call before
 // sharing the filter across goroutines.
 func (f *CFilter16) SetEventRing(r *telemetry.Ring) { f.ring = r }
-
-// SetEventRing attaches r to the sharded filter and every shard, so shard
-// fallbacks and pool stalls land in one stream.
-func (f *Sharded8) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, s := range f.shards {
-		s.SetEventRing(r)
-	}
-}
-
-// SetEventRing attaches r to the sharded filter and every shard.
-func (f *Sharded16) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, s := range f.shards {
-		s.SetEventRing(r)
-	}
-}
 
 func (f *CFilter8) fallbackEvent(b uint64, retries uint) {
 	if f.ring != nil {

@@ -2,44 +2,82 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"vqf/internal/telemetry"
 	"vqf/internal/workload"
 )
 
-// TestShardPartition checks the shard counting sort: every key lands in its
-// shard's [bounds[s], bounds[s+1]) range, and the index-carrying variant
-// records each key's original position.
+// TestShardPartition checks the one counting sort, radixSort, under both
+// radices it serves. The shard radix must file every key under its shard
+// (the top shardBits bits); the block radix must reproduce the pre-unified
+// definition — the top batchRadixBits bits of the primary block index, all
+// of them in a small filter. For each, the parts must tile the output, the
+// sort must be stable, and the idx variant must produce the same order
+// while recording each key's input position.
 func TestShardPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	hs := make([]uint64, 5000)
+	for i := range hs {
+		hs[i] = rng.Uint64()
+	}
+	type radix struct {
+		name         string
+		shift, width uint
+		want         func(h uint64) int // the part a key belongs to
+	}
+	var cases []radix
 	for _, bits := range []uint{0, 1, 3, 8} {
-		hs := make([]uint64, 5000)
-		for i := range hs {
-			hs[i] = rng.Uint64()
+		cases = append(cases, radix{fmt.Sprintf("shard/%d", bits), 64 - bits, bits,
+			func(h uint64) int { return int(h >> (64 - bits)) }})
+	}
+	for _, blockShift := range []uint{blockShift8, blockShift16} {
+		for _, nblocks := range []uint64{2, 64, 256, 1 << 12, 1 << 20} {
+			mask, top := nblocks-1, uint(0)
+			for m := mask; m >= 1<<batchRadixBits; m >>= 1 {
+				top++
+			}
+			shift, width := blockRadix(mask, blockShift)
+			cases = append(cases, radix{fmt.Sprintf("block%d/%d", blockShift, nblocks), shift, width,
+				func(h uint64) int { return int(((h >> blockShift) & mask) >> top) }})
 		}
-		sorted, bounds := shardPartition(hs, bits)
-		if len(sorted) != len(hs) || len(bounds) != (1<<bits)+1 {
-			t.Fatalf("bits %d: bad partition shape", bits)
+	}
+	for _, c := range cases {
+		parts := 1 << c.width
+		sorted := make([]uint64, len(hs))
+		var bounds [batchShards + 1]int
+		for i := range bounds {
+			bounds[i] = -7 // stale contents must not leak into the result
 		}
-		for s := 0; s < 1<<bits; s++ {
-			for _, h := range sorted[bounds[s]:bounds[s+1]] {
-				if shardOf(h, bits) != uint64(s) {
-					t.Fatalf("bits %d: key %#x filed under shard %d", bits, h, s)
+		radixSort(hs, sorted, nil, &bounds, c.shift, c.width)
+		if bounds[0] != 0 || bounds[parts] != len(hs) {
+			t.Fatalf("%s: bounds [%d, %d] do not span the batch", c.name, bounds[0], bounds[parts])
+		}
+		for r := 0; r < parts; r++ {
+			for _, h := range sorted[bounds[r]:bounds[r+1]] {
+				if c.want(h) != r {
+					t.Fatalf("%s: key %#x filed under part %d, want %d", c.name, h, r, c.want(h))
 				}
 			}
 		}
-		sortedIdx, idx, boundsIdx := shardPartitionIdx(hs, bits)
-		for i := range bounds {
-			if bounds[i] != boundsIdx[i] {
-				t.Fatalf("bits %d: bounds disagree between variants", bits)
-			}
+
+		sortedIdx, idx := make([]uint64, len(hs)), make([]int32, len(hs))
+		var boundsIdx [batchShards + 1]int
+		radixSort(hs, sortedIdx, idx, &boundsIdx, c.shift, c.width)
+		if !slices.Equal(boundsIdx[:parts+1], bounds[:parts+1]) {
+			t.Fatalf("%s: bounds disagree between variants", c.name)
 		}
 		for j, h := range sortedIdx {
-			if hs[idx[j]] != h {
-				t.Fatalf("bits %d: idx[%d] does not point at its key", bits, j)
+			if h != sorted[j] || hs[idx[j]] != h {
+				t.Fatalf("%s: idx[%d] does not point at its key", c.name, j)
+			}
+			if j > 0 && j != bounds[c.want(h)] && idx[j] <= idx[j-1] {
+				t.Fatalf("%s: part %d is not in input order at %d", c.name, c.want(h), j)
 			}
 		}
 	}
@@ -108,56 +146,135 @@ func TestShardedBalance(t *testing.T) {
 	}
 }
 
-// shardedBatchRun drives the batch API against a single-key reference on the
-// same key set and checks the results agree. gomax > 0 temporarily raises
-// GOMAXPROCS so the shard-disjoint worker pool engages even on small hosts.
-func shardedBatchRun(t *testing.T, nshards, nkeys, gomax int) {
-	t.Helper()
-	if gomax > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomax))
-	}
-	f := NewSharded8(uint64(nkeys)*2, nshards, Options{})
-	ref := NewSharded8(uint64(nkeys)*2, nshards, Options{})
-	keys := workload.NewStream(uint64(1000 + nkeys)).Keys(nkeys)
-	ins := f.InsertBatch(keys)
-	refIns := 0
-	for _, h := range keys {
-		if ref.Insert(h) {
-			refIns++
+// shardedBatchTable runs shardedBatchRun over both geometries, the given
+// shard counts and GOMAXPROCS 1 and 4 (4 engages the shard-disjoint pool
+// even on small hosts once nkeys reaches 2·minParallelBatch).
+func shardedBatchTable(t *testing.T, nkeys int, shardCounts []int) {
+	for _, nshards := range shardCounts {
+		for _, gomax := range []int{1, 4} {
+			t.Run(fmt.Sprintf("8bit/shards=%d/procs=%d", nshards, gomax), func(t *testing.T) {
+				shardedBatchRun(t, NewSharded8, nshards, nkeys, gomax)
+			})
+			t.Run(fmt.Sprintf("16bit/shards=%d/procs=%d", nshards, gomax), func(t *testing.T) {
+				shardedBatchRun(t, NewSharded16, nshards, nkeys, gomax)
+			})
 		}
-	}
-	if ins != refIns {
-		t.Fatalf("InsertBatch inserted %d, reference %d", ins, refIns)
-	}
-	if f.Count() != ref.Count() {
-		t.Fatalf("count %d after batch, reference %d", f.Count(), ref.Count())
-	}
-	// Mix present and absent keys, verify order-preserving scatter.
-	probe := append(append([]uint64{}, keys...), workload.NewStream(77).Keys(nkeys)...)
-	got := f.ContainsBatch(probe, nil)
-	for i, h := range probe {
-		if got[i] != ref.Contains(h) {
-			t.Fatalf("ContainsBatch[%d] = %v, reference %v", i, got[i], !got[i])
-		}
-	}
-	rem := f.RemoveBatch(keys)
-	refRem := 0
-	for _, h := range keys {
-		if ref.Remove(h) {
-			refRem++
-		}
-	}
-	if rem != refRem {
-		t.Fatalf("RemoveBatch removed %d, reference %d", rem, refRem)
-	}
-	if f.Count() != ref.Count() {
-		t.Fatalf("count %d after batch removes, reference %d", f.Count(), ref.Count())
 	}
 }
 
-func TestShardedBatchSmall(t *testing.T)    { shardedBatchRun(t, 4, 1000, 0) }               // w==1 path
-func TestShardedBatchParallel(t *testing.T) { shardedBatchRun(t, 4, 4*minParallelBatch, 4) } // pool path
-func TestShardedBatchOneShard(t *testing.T) { shardedBatchRun(t, 1, 2000, 0) }               // delegation path
+// shardedBatchRun drives the batch API against a single-key reference on the
+// same key set and checks the results agree, with exact Count after every
+// batch and exact per-shard batch counters: a sharded batch counts one batch
+// on every shard it hands keys to (per maxIdxSegment segment for lookups),
+// a one-shard filter delegates the whole batch to its shard. ContainsBatch
+// runs twice, the second time with maxIdxSegment shrunk so the segmented
+// path runs.
+func shardedBatchRun[S coreShard](t *testing.T, mk func(uint64, int, Options) *ShardedFilter[S], nshards, nkeys, gomax int) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomax))
+	f := mk(uint64(nkeys)*2, nshards, Options{})
+	ref := mk(uint64(nkeys)*2, nshards, Options{})
+	batchOps := make([]uint64, f.NumShards())
+	batchKeys := make([]uint64, f.NumShards())
+	// expect books one batch over hs, cut into segment-key segments.
+	expect := func(hs []uint64, segment int) {
+		if f.NumShards() == 1 {
+			batchOps[0]++
+			batchKeys[0] += uint64(len(hs))
+			return
+		}
+		for off := 0; off < len(hs); off += segment {
+			fed := make([]bool, f.NumShards())
+			for _, h := range hs[off:min(off+segment, len(hs))] {
+				s := h >> (64 - f.shardBits)
+				batchKeys[s]++
+				if !fed[s] {
+					batchOps[s]++
+					fed[s] = true
+				}
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		if f.Count() != ref.Count() {
+			t.Fatalf("%s: count %d, reference %d", stage, f.Count(), ref.Count())
+		}
+		for i, s := range f.Shards() {
+			if st := s.Stats(); st.BatchOps != batchOps[i] || st.BatchKeys != batchKeys[i] {
+				t.Fatalf("%s: shard %d counted %d batches of %d keys, want %d of %d",
+					stage, i, st.BatchOps, st.BatchKeys, batchOps[i], batchKeys[i])
+			}
+		}
+	}
+
+	keys := workload.NewStream(uint64(1000 + nkeys)).Keys(nkeys)
+	ins := f.InsertBatch(keys)
+	expect(keys, len(keys))
+	if refIns := applyCount(keys, ref.Insert); ins != refIns {
+		t.Fatalf("InsertBatch inserted %d, reference %d", ins, refIns)
+	}
+	check("insert")
+
+	// Mix present and absent keys, verify order-preserving scatter.
+	probe := append(append([]uint64{}, keys...), workload.NewStream(77).Keys(nkeys)...)
+	lookup := func(stage string, segment int) {
+		t.Helper()
+		got := f.ContainsBatch(probe, nil)
+		expect(probe, segment)
+		for i, h := range probe {
+			if got[i] != ref.Contains(h) {
+				t.Fatalf("%s: ContainsBatch[%d] = %v, reference %v", stage, i, got[i], !got[i])
+			}
+		}
+		check(stage)
+	}
+	lookup("lookup", len(probe))
+	old := maxIdxSegment
+	maxIdxSegment = len(probe)/3 + 1
+	lookup("segmented lookup", maxIdxSegment)
+	maxIdxSegment = old
+
+	rem := f.RemoveBatch(keys)
+	expect(keys, len(keys))
+	if refRem := applyCount(keys, ref.Remove); rem != refRem {
+		t.Fatalf("RemoveBatch removed %d, reference %d", rem, refRem)
+	}
+	check("remove")
+}
+
+func TestShardedBatchSmall(t *testing.T) { shardedBatchTable(t, 1000, []int{2, 8, 256}) } // w==1 path
+func TestShardedBatchParallel(t *testing.T) {
+	shardedBatchTable(t, 3*minParallelBatch, []int{2, 8, 256}) // pool path
+}
+func TestShardedBatchOneShard(t *testing.T) { shardedBatchTable(t, 3*minParallelBatch, []int{1}) } // delegation path
+
+// TestShardedClaimStall pins where the sharded pool records
+// EvShardClaimStall: only when a multi-worker insert or remove fan-out
+// finishes with idle workers — never on the single-worker path (even for
+// an empty batch) and never for lookups.
+func TestShardedClaimStall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	f := NewSharded8(1<<16, 2, Options{})
+	ring := telemetry.NewRing(16)
+	f.SetEventRing(ring)
+	keys := workload.NewStream(3).Keys(2 * minParallelBatch)
+	for i := range keys {
+		keys[i] &^= 1 << 63 // every key in shard 0, so a second worker idles
+	}
+	f.InsertBatch(nil)
+	f.InsertBatch(keys[:1000])
+	f.ContainsBatch(keys, nil)
+	if ev := ring.Events(); len(ev) != 0 {
+		t.Fatalf("stall recorded off the multi-worker insert path: %+v", ev)
+	}
+	f.InsertBatch(keys)
+	ev := ring.Events()
+	if len(ev) != 1 || ev[0].Kind != telemetry.EvShardClaimStall.String() ||
+		ev[0].A != 1 || ev[0].B != 2 || ev[0].C != uint64(len(keys)) {
+		t.Fatalf("want one stall of 1 idle worker in 2 over %d keys, got %+v", len(keys), ev)
+	}
+}
 
 // TestSharded16Batch covers the 16-bit mirror of the batch plumbing.
 func TestSharded16Batch(t *testing.T) {

@@ -183,7 +183,7 @@ func planCompaction(cfg Config, ls []*level) []plan {
 // CompactNow compacts every shard, summing the per-shard results.
 func (f *Sharded) CompactNow() CompactionResult {
 	var res CompactionResult
-	for _, s := range f.shards {
+	for _, s := range f.Shards() {
 		r := s.CompactNow()
 		res.LevelsBefore += r.LevelsBefore
 		res.LevelsAfter += r.LevelsAfter

@@ -14,13 +14,6 @@ import (
 // paid for it. The ring also propagates into each level's concurrent core
 // filter, so seqlock fallbacks inside the cascade land in the same stream.
 
-// SetEventRing attaches r to every shard's cascade. Call before sharing.
-func (f *Sharded) SetEventRing(r *telemetry.Ring) {
-	for _, s := range f.shards {
-		s.SetEventRing(r)
-	}
-}
-
 // setLevelRing forwards the ring to a level's core filter when that filter
 // has event hooks (the concurrent variants; sequential cores never fall
 // back and take no ring).

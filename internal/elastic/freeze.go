@@ -678,7 +678,7 @@ func thawedLevel(cfg Config, lvl *level) *level {
 // FreezeNow freezes every shard, summing the per-shard results.
 func (f *Sharded) FreezeNow() FreezeResult {
 	var res FreezeResult
-	for _, s := range f.shards {
+	for _, s := range f.Shards() {
 		r := s.FreezeNow()
 		res.LevelsBefore += r.LevelsBefore
 		res.LevelsAfter += r.LevelsAfter

@@ -6,19 +6,20 @@ import (
 )
 
 // Sharded is a sharded thread-safe elastic filter: a power-of-two array of
-// independent concurrent cascades, selected by the top hash bits (the same
-// selector the sharded core filters use — the cascade levels consume only
-// lower hash bits). Each shard grows independently, so a growth in one
-// shard never serializes inserts in another; with a uniform hash the shards
-// stay within a few percent of each other in depth and load.
+// independent concurrent cascades, selected by the top hash bits. It is
+// core.Sharded over *CFilter shards — the same selector, routing and
+// aggregates the sharded core filters use (the cascade levels consume only
+// lower hash bits) — plus the cascade-only views below. Each shard grows
+// independently, so a growth in one shard never serializes inserts in
+// another; with a uniform hash the shards stay within a few percent of each
+// other in depth and load.
 //
 // Each shard's FPR is bounded by the configured budget ε, and a query
 // probes exactly one shard, so the sharded cascade's FPR is bounded by the
 // same ε — no budget splitting across shards is needed.
 type Sharded struct {
-	shards    []*CFilter
-	shardBits uint
-	cfg       Config
+	*core.Sharded[*CFilter]
+	cfg Config
 }
 
 // NewSharded creates a sharded concurrent cascade with nshards shards
@@ -29,104 +30,41 @@ func NewSharded(cfg Config, nshards int) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bits := core.ShardBitsFor(nshards)
-	n := 1 << bits
-	per := cfg.InitialSlots / uint64(n)
-	if per < minSlotsPerShard {
-		per = minSlotsPerShard
+	sh, err := core.NewShardedOf(nshards, func(n int) (*CFilter, error) {
+		shardCfg := cfg
+		shardCfg.InitialSlots = max(cfg.InitialSlots/uint64(n), minSlotsPerShard)
+		return NewConcurrent(shardCfg)
+	})
+	if err != nil {
+		return nil, err
 	}
-	shardCfg := cfg
-	shardCfg.InitialSlots = per
-	f := &Sharded{shards: make([]*CFilter, n), shardBits: bits, cfg: cfg}
-	for i := range f.shards {
-		s, err := NewConcurrent(shardCfg)
-		if err != nil {
-			return nil, err
-		}
-		f.shards[i] = s
-	}
-	return f, nil
+	return &Sharded{Sharded: sh, cfg: cfg}, nil
 }
 
 // minSlotsPerShard keeps a shard's first level at least one 8-bit block even
 // when the configured initial budget divides below it.
 const minSlotsPerShard = 48
 
-// NumShards returns the shard count (a power of two).
-func (f *Sharded) NumShards() int { return len(f.shards) }
-
-func (f *Sharded) shard(h uint64) *CFilter { return f.shards[h>>(64-f.shardBits)] }
-
-// Insert adds the pre-hashed key h to its shard, growing that shard as
-// needed. Safe for concurrent use.
-func (f *Sharded) Insert(h uint64) bool { return f.shard(h).Insert(h) }
-
-// Contains reports whether h may be in the filter, probing only h's shard.
-// Safe for concurrent use and lock-free.
-func (f *Sharded) Contains(h uint64) bool { return f.shard(h).Contains(h) }
-
-// Remove deletes one previously inserted instance of h. Safe for concurrent
-// use.
-func (f *Sharded) Remove(h uint64) bool { return f.shard(h).Remove(h) }
-
-// Count returns the number of items stored across all shards.
-func (f *Sharded) Count() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.Count()
-	}
-	return n
-}
-
-// Capacity returns the total allocated fingerprint slots across all shards.
-func (f *Sharded) Capacity() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.Capacity()
-	}
-	return n
-}
-
-// SizeBytes returns the memory footprint summed over shards.
-func (f *Sharded) SizeBytes() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.SizeBytes()
-	}
-	return n
-}
-
 // NumLevels returns the deepest shard's cascade depth (shards grow
 // independently, so depths can differ by a level around growth points).
 func (f *Sharded) NumLevels() int {
-	max := 0
-	for _, s := range f.shards {
-		if n := s.NumLevels(); n > max {
-			max = n
-		}
+	depth := 0
+	for _, s := range f.Shards() {
+		depth = max(depth, s.NumLevels())
 	}
-	return max
+	return depth
 }
 
 // TargetFPR returns the configured total false-positive budget ε, which
 // every shard — and therefore every query — honors.
 func (f *Sharded) TargetFPR() float64 { return f.cfg.TargetFPR }
 
-// Stats returns operation counters summed over all shards' levels.
-func (f *Sharded) Stats() stats.OpCounts {
-	var total stats.OpCounts
-	for _, s := range f.shards {
-		total = total.Add(s.Stats())
-	}
-	return total
-}
-
 // ShardSnapshots returns one aggregate cascade snapshot per shard, in
 // shard order — the per-shard heat view (each shard's count, load, and op
 // counters) behind the sharded imbalance metric.
 func (f *Sharded) ShardSnapshots() []stats.Snapshot {
-	out := make([]stats.Snapshot, len(f.shards))
-	for i, s := range f.shards {
+	out := make([]stats.Snapshot, f.NumShards())
+	for i, s := range f.Shards() {
 		out[i] = s.Snapshot().Aggregate
 	}
 	return out
@@ -143,9 +81,9 @@ func (f *Sharded) ShardSnapshots() []stats.Snapshot {
 // budget ε, FPREstimate the sum of merged per-level estimates, and
 // Occupancy the newest level's merged distribution.
 func (f *Sharded) Snapshot() stats.CascadeSnapshot {
-	subs := make([]stats.CascadeSnapshot, len(f.shards))
+	subs := make([]stats.CascadeSnapshot, f.NumShards())
 	depth := 0
-	for i, s := range f.shards {
+	for i, s := range f.Shards() {
 		subs[i] = s.Snapshot()
 		if n := len(subs[i].Levels); n > depth {
 			depth = n
