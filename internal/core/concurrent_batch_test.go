@@ -166,8 +166,8 @@ func TestCFilter8BatchConcurrentWithPointOps(t *testing.T) {
 	}
 }
 
-// TestParallelContainsSingleWorkerSegmented pins the GOMAXPROCS=1 fallback of
-// parallelShardContains: it, too, carries int32 scatter indices and must
+// TestParallelContainsSingleWorkerSegmented pins the GOMAXPROCS=1 path of
+// CFilter8.ContainsBatch: it, too, carries int32 scatter indices and must
 // segment oversized batches rather than overflow. maxIdxSegment is shrunk so
 // the boundary is actually crossed.
 func TestParallelContainsSingleWorkerSegmented(t *testing.T) {
