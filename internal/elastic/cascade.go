@@ -38,8 +38,7 @@ const (
 	opThaw
 )
 
-// opTelemetry is each op's trace task and start/finish event kinds; thaws
-// record neither.
+// opTelemetry is each op's trace task and start/finish event kinds.
 var opTelemetry = [...]struct {
 	task          string
 	start, finish telemetry.EventKind
@@ -47,7 +46,7 @@ var opTelemetry = [...]struct {
 	opCompact:    {"vqf.elastic.compact", telemetry.EvCompactStart, telemetry.EvCompactFinish},
 	opFreeze:     {"vqf.elastic.freeze", telemetry.EvFreezeStart, telemetry.EvFreezeFinish},
 	opAutoFreeze: {"vqf.elastic.freeze", telemetry.EvFreezeStart, telemetry.EvFreezeFinish},
-	opThaw:       {},
+	opThaw:       {"vqf.elastic.thaw", telemetry.EvThawStart, telemetry.EvThawFinish},
 }
 
 // plan is one planned splice: the contiguous sources ending at level index
@@ -238,19 +237,16 @@ func (c *cascade) apply(op opKind) opResult {
 		return res
 	}
 	tel := opTelemetry[op]
-	end := func() {}
 	start := time.Now()
-	if tel.task != "" {
-		live := sumCounts(ls[:len(ls)-1])
-		if op != opCompact {
-			live = 0
-			for _, p := range plans {
-				live += sumCounts(p.sub)
-			}
+	live := sumCounts(ls[:len(ls)-1])
+	if op != opCompact {
+		live = 0
+		for _, p := range plans {
+			live += sumCounts(p.sub)
 		}
-		c.ring.Record(tel.start, uint64(len(ls)), live, 0)
-		end = telemetry.Task(tel.task)
 	}
+	c.ring.Record(tel.start, uint64(len(ls)), live, 0)
+	end := telemetry.Task(tel.task)
 
 	st := c.fence.seal(plans)
 	built := make([]*level, len(plans))
@@ -295,9 +291,7 @@ func (c *cascade) apply(op opKind) opResult {
 	})
 	end()
 	res.after = len(next)
-	if tel.task != "" {
-		c.ring.Record(tel.finish, uint64(res.replaced), uint64(res.after), uint64(time.Since(start)))
-	}
+	c.ring.Record(tel.finish, uint64(res.replaced), uint64(res.after), uint64(time.Since(start)))
 	return res
 }
 
@@ -309,7 +303,8 @@ func (c *cascade) plan(op opKind, ls []*level) []plan {
 	case opFreeze:
 		return planFreezes(ls, nil)
 	case opAutoFreeze:
-		return planFreezes(ls, autoFreezeGate(c.cfg))
+		g := autoFreezeGate(c.cfg)
+		return planFreezes(ls, &g)
 	}
 	return planThaws(c.cfg, ls)
 }

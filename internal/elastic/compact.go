@@ -53,17 +53,16 @@ type compactRun struct{ lo, hi int }
 // the gate (nil accepts everything). The newest level still receives
 // inserts and is never a source; immutable fuse levels cannot be rebuilt by
 // reinsertion and break runs.
-func vqfRuns(ls []*level, minLen int, gate func(*level) bool) []compactRun {
+func vqfRuns(ls []*level, minLen int, gate *freezeGate) []compactRun {
 	var runs []compactRun
 	frozen := len(ls) - 1
-	ok := func(l *level) bool { return gate == nil || gate(l) }
 	for lo := 0; lo < frozen; {
-		if !vqfKind(ls[lo].kind) || !ok(ls[lo]) {
+		if !vqfKind(ls[lo].kind) || !gate.admits(ls[lo]) {
 			lo++
 			continue
 		}
 		hi := lo + 1
-		for hi < frozen && ls[hi].kind == ls[lo].kind && ok(ls[hi]) {
+		for hi < frozen && ls[hi].kind == ls[lo].kind && gate.admits(ls[hi]) {
 			hi++
 		}
 		if hi-lo >= minLen {

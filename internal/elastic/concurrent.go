@@ -49,7 +49,7 @@ func (f *CFilter) dispatch(op opKind) {
 	case opCompact:
 		gate = &f.compacting
 	case opAutoFreeze:
-		if len(planFreezes(f.current(), autoFreezeGate(f.cfg))) == 0 {
+		if g := autoFreezeGate(f.cfg); len(planFreezes(f.current(), &g)) == 0 {
 			return
 		}
 	}

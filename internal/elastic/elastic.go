@@ -183,8 +183,8 @@ type level struct {
 	trigger uint64
 	// geomFPR is the level geometry's analytic full-load FPR.
 	geomFPR float64
-	// frozenAt is the unix-nano time the level left the insert path (0 =
-	// unknown, treated as old by the auto-freeze gate). Atomic because the
+	// frozenAt is the monoNow reading when the level left the insert path
+	// (0 = unknown, treated as old by the auto-freeze gate). Atomic because the
 	// sequential stamp at growth races concurrent snapshot readers only in
 	// the CFilter case, but one representation keeps the code shared.
 	frozenAt atomic.Int64

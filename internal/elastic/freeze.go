@@ -3,8 +3,7 @@ package elastic
 import (
 	"encoding/binary"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -35,10 +34,13 @@ import (
 //     picks the narrowest width that fits.
 //
 // Remove semantics: the fuse structure is immutable, so removes go to a
-// per-key tombstone ledger bounded by the exact key multiset (the "vault", a
+// tombstone ledger bounded by the exact key multiset (the "vault", a
 // delta-varint-compressed sorted array of packed keys kept alongside the
 // fuse filter — ~⌈log₂ keyspace⌉−6 bits/key). The vault makes Remove exact:
 // a fuse false positive can never decrement Count or tombstone a ghost key.
+// The ledger is indexed by a key's rank in the vault: one bit per distinct
+// key, set once all its frozen instances are removed, plus a removed count
+// for each key frozen more than once.
 // When tombstones reach ¼ of the frozen population the level thaws — it is
 // rebuilt into a right-sized live VQF level (or re-fused without the dead
 // keys when the survivors no longer fit the VQF geometry under the fold
@@ -94,14 +96,36 @@ type FreezeResult struct {
 	FuseLevels int
 }
 
-// tombstone tracks removes against one frozen key. base is the instance
-// count at freeze time (immutable); removed counts successful removes,
-// never exceeding base (CAS-guarded), so a key can only be removed as many
-// times as it was frozen — the exactness the mutable VQF levels guarantee
-// by physically deleting fingerprints.
-type tombstone struct {
+// dupe is a vault key frozen more than once: its instance count (immutable)
+// and how many of them have been removed. The CAS loop in tombstone caps
+// removed at base, so a key can only be removed as many times as it was
+// frozen — the exactness the mutable VQF levels guarantee by physically
+// deleting fingerprints.
+type dupe struct {
 	base    uint64
 	removed atomic.Uint64
+}
+
+// rankBits is an atomic bitset over vault ranks.
+type rankBits []atomic.Uint64
+
+func newRankBits(n int) rankBits { return make(rankBits, (n+63)/64) }
+
+func (b rankBits) has(r int) bool { return b[r>>6].Load()&(1<<(r&63)) != 0 }
+
+// set sets bit r and reports whether it was clear. It is a CAS loop on the
+// bit's word, since atomic.Uint64 has no Or before Go 1.23.
+func (b rankBits) set(r int) bool {
+	w, m := &b[r>>6], uint64(1)<<(r&63)
+	for {
+		old := w.Load()
+		if old&m != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|m) {
+			return true
+		}
+	}
 }
 
 // vaultBlock is the vault's delta-compression block size: one absolute
@@ -141,36 +165,36 @@ func buildVault(sorted []uint64) vault {
 	return v
 }
 
-// contains reports whether packed key p is in the vault: binary search over
-// the block anchors, then a short delta scan within one block.
-func (v *vault) contains(p uint64) bool {
-	i := sort.Search(len(v.index), func(i int) bool { return v.index[i] > p }) - 1
-	if i < 0 {
-		return false
+// rank returns p's index in the vault's ascending key order, or -1 when p
+// is not in the vault: a binary search over the block anchors, then a short
+// delta scan within one block.
+func (v *vault) rank(p uint64) int {
+	i, found := slices.BinarySearch(v.index, p)
+	if found {
+		return i * vaultBlock
+	}
+	if i--; i < 0 {
+		return -1
 	}
 	cur := v.index[i]
-	if cur == p {
-		return true
-	}
-	hi := (i + 1) * vaultBlock
-	if hi > v.n {
-		hi = v.n
-	}
 	data := v.data[v.offs[i]:]
-	for j := i*vaultBlock + 1; j < hi; j++ {
+	for j := i*vaultBlock + 1; j < min((i+1)*vaultBlock, v.n); j++ {
 		d, n := binary.Uvarint(data)
 		data = data[n:]
 		cur += d
 		if cur >= p {
-			return cur == p
+			if cur == p {
+				return j
+			}
+			return -1
 		}
 	}
-	return false
+	return -1
 }
 
-// iterate yields every packed key in ascending order; returns false if
-// yield stopped early.
-func (v *vault) iterate(yield func(p uint64) bool) bool {
+// iterate yields every packed key with its rank in ascending order; returns
+// false if yield stopped early.
+func (v *vault) iterate(yield func(r int, p uint64) bool) bool {
 	data := v.data
 	var cur uint64
 	for i := 0; i < v.n; i++ {
@@ -181,7 +205,7 @@ func (v *vault) iterate(yield func(p uint64) bool) bool {
 			data = data[n:]
 			cur += d
 		}
-		if !yield(cur) {
+		if !yield(i, cur) {
 			return false
 		}
 	}
@@ -195,8 +219,8 @@ func (v *vault) sizeBytes() uint64 {
 // fuseLevel is the immutable coreFilter of a frozen cascade level: a binary
 // fuse filter over pair-representative canonical keys, the exact vault, a
 // duplicate-instance map (a VQF level is a multiset), and the tombstone
-// ledger for removes. All structure except the tombstones is immutable
-// after construction, so Contains is lock-free by construction.
+// ledger for removes. All structure except the ledger's bits and counts is
+// immutable after construction, so Contains is lock-free by construction.
 type fuseLevel struct {
 	// srcKind is the source VQF geometry (8 or 16) whose canonical key
 	// space the fold keys live in; fpBits is the fuse fingerprint width.
@@ -212,16 +236,19 @@ type fuseLevel struct {
 	f16 *fuse.Filter16
 
 	vault vault
-	// dupes maps packed keys stored more than once to their extra instance
-	// count (instances − 1). Usually empty: duplicates require inserting
-	// the same key twice or a source-level fingerprint collision.
-	dupes map[uint64]uint32
+	// dupes maps packed keys stored more than once to their instance and
+	// removed counts; the map itself is immutable after construction.
+	// Usually empty: duplicates require inserting the same key twice or a
+	// source-level fingerprint collision.
+	dupes map[uint64]*dupe
+	// dead is the tombstone ledger: bit r is set once every frozen instance
+	// of the vault key of rank r has been removed.
+	dead rankBits
 
 	// baseTotal is the frozen instance total; live = baseTotal − tombTotal.
 	baseTotal uint64
 	live      atomic.Uint64
 	tombTotal atomic.Uint64
-	tombs     sync.Map // packed key → *tombstone
 
 	ops stats.Striped
 }
@@ -241,14 +268,18 @@ func newFuseLevel(srcKind, fpBits uint8, foldBlocks uint64, keys []uint64) (*fus
 	for i, k := range keys {
 		packed[i] = l.pack(k)
 	}
-	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
+	slices.Sort(packed)
 	w := 0
 	for _, p := range packed {
 		if w > 0 && p == packed[w-1] {
 			if l.dupes == nil {
-				l.dupes = make(map[uint64]uint32)
+				l.dupes = make(map[uint64]*dupe)
 			}
-			l.dupes[p]++
+			if d := l.dupes[p]; d != nil {
+				d.base++
+			} else {
+				l.dupes[p] = &dupe{base: 2}
+			}
 			continue
 		}
 		packed[w] = p
@@ -269,6 +300,7 @@ func newFuseLevel(srcKind, fpBits uint8, foldBlocks uint64, keys []uint64) (*fus
 		return nil, err
 	}
 	l.vault = buildVault(distinct)
+	l.dead = newRankBits(l.vault.n)
 	l.live.Store(l.baseTotal)
 	return l, nil
 }
@@ -316,47 +348,72 @@ func (l *fuseLevel) fuseContains(k uint64) bool {
 	return l.f16.Contains(k)
 }
 
-// instances returns how many instances of packed key p were frozen (0 when
-// p is not in the vault — exact, immune to fuse false positives).
+// instances returns how many instances of vault key p were frozen.
 func (l *fuseLevel) instances(p uint64) uint64 {
-	if !l.vault.contains(p) {
-		return 0
+	if d := l.dupes[p]; d != nil {
+		return d.base
 	}
-	n := uint64(1)
-	if extra, ok := l.dupes[p]; ok {
-		n += uint64(extra)
-	}
-	return n
+	return 1
 }
 
-// netOf returns p's surviving instance count: frozen minus tombstoned.
-func (l *fuseLevel) netOf(p uint64) uint64 {
-	n := l.instances(p)
-	if n == 0 {
+// net returns the surviving instance count of vault key p of rank r:
+// frozen minus tombstoned.
+func (l *fuseLevel) net(r int, p uint64) uint64 {
+	if l.dead.has(r) {
 		return 0
 	}
-	if ti, ok := l.tombs.Load(p); ok {
-		r := ti.(*tombstone).removed.Load()
-		if r >= n {
-			return 0
+	if len(l.dupes) > 0 {
+		if d := l.dupes[p]; d != nil {
+			return d.base - d.removed.Load()
 		}
-		n -= r
 	}
-	return n
+	return 1
+}
+
+// netOf returns packed key p's surviving instance count (0 when p is not
+// in the vault — exact, immune to fuse false positives).
+func (l *fuseLevel) netOf(p uint64) uint64 {
+	r := l.vault.rank(p)
+	if r < 0 {
+		return 0
+	}
+	return l.net(r, p)
 }
 
 // tombAlive reports whether canonical key k is NOT fully tombstoned. Keys
 // absent from the vault (fuse false positives) report alive — they were
 // already a false positive within budget, and have no ledger entry.
 func (l *fuseLevel) tombAlive(k uint64) bool {
-	p := l.pack(k)
-	if ti, ok := l.tombs.Load(p); ok {
-		t := ti.(*tombstone)
-		if t.removed.Load() >= t.base {
+	r := l.vault.rank(l.pack(k))
+	return r < 0 || !l.dead.has(r)
+}
+
+// tombstone records the removal of one frozen instance of packed key p. It
+// fails when p is not in the vault (a fuse false positive) or when every
+// instance of p is already removed. A single-instance key is removed by
+// setting its bit; a duplicate counts up to its base first, and the
+// remove that reaches it sets the bit.
+func (l *fuseLevel) tombstone(p uint64) bool {
+	r := l.vault.rank(p)
+	if r < 0 {
+		return false
+	}
+	d := l.dupes[p]
+	if d == nil {
+		return l.dead.set(r)
+	}
+	for {
+		n := d.removed.Load()
+		if n >= d.base {
 			return false
 		}
+		if d.removed.CompareAndSwap(n, n+1) {
+			if n+1 == d.base {
+				l.dead.set(r)
+			}
+			return true
+		}
 	}
-	return true
 }
 
 // needsThaw reports whether the tombstone ledger crossed the thaw
@@ -421,40 +478,20 @@ func (l *fuseLevel) ContainsBatch(hs []uint64, dst []bool) []bool {
 }
 
 // Remove tombstones one instance of h. The vault lookup makes it exact: a
-// fuse false positive (no vault entry) is a miss, and the CAS loop caps
+// fuse false positive (no vault entry) is a miss, and the ledger caps
 // removes at the frozen instance count, so Count can never drift below the
 // true population.
 func (l *fuseLevel) Remove(h uint64) bool {
 	k := l.key(h)
 	sel := l.blockOf(k)
-	if !l.fuseContains(k) {
+	if !l.fuseContains(k) || !l.tombstone(l.pack(k)) {
 		l.ops.RemoveMiss(sel)
 		return false
 	}
-	p := l.pack(k)
-	inst := l.instances(p)
-	if inst == 0 {
-		l.ops.RemoveMiss(sel)
-		return false
-	}
-	ti, ok := l.tombs.Load(p)
-	if !ok {
-		ti, _ = l.tombs.LoadOrStore(p, &tombstone{base: inst})
-	}
-	t := ti.(*tombstone)
-	for {
-		r := t.removed.Load()
-		if r >= t.base {
-			l.ops.RemoveMiss(sel)
-			return false
-		}
-		if t.removed.CompareAndSwap(r, r+1) {
-			l.tombTotal.Add(1)
-			l.live.Add(^uint64(0))
-			l.ops.Remove(sel)
-			return true
-		}
-	}
+	l.tombTotal.Add(1)
+	l.live.Add(^uint64(0))
+	l.ops.Remove(sel)
+	return true
 }
 
 // Count returns the surviving (non-tombstoned) instance count.
@@ -465,7 +502,8 @@ func (l *fuseLevel) Count() uint64 { return l.live.Load() }
 func (l *fuseLevel) Capacity() uint64 { return l.baseTotal }
 
 // SizeBytes covers the immutable structures (fuse array + vault); the
-// tombstone ledger is transient thaw-bounded state.
+// tombstone ledger (one bit per vault key plus the duplicates' counts) is
+// transient thaw-bounded state.
 func (l *fuseLevel) SizeBytes() uint64 {
 	var fb uint64
 	if l.fpBits == 8 {
@@ -488,29 +526,19 @@ func (l *fuseLevel) SlotsPerBlock() uint { return 0 }
 // already the pair representative under foldMask, so reinsertion into any
 // xor-linked filter with ≤ foldBlocks blocks reproduces membership exactly.
 func (l *fuseLevel) IterateHashes(yield func(h uint64) bool) bool {
-	ok := true
-	l.vault.iterate(func(p uint64) bool {
-		n := uint64(1)
-		if extra, dup := l.dupes[p]; dup {
-			n += uint64(extra)
-		}
-		if ti, found := l.tombs.Load(p); found {
-			r := ti.(*tombstone).removed.Load()
-			if r >= n {
-				return true
-			}
-			n -= r
+	return l.vault.iterate(func(r int, p uint64) bool {
+		n := l.net(r, p)
+		if n == 0 {
+			return true
 		}
 		h := l.unpack(p)
 		for ; n > 0; n-- {
 			if !yield(h) {
-				ok = false
 				return false
 			}
 		}
 		return true
 	})
-	return ok
 }
 
 // CandidateBlocks returns h's candidate pair under the fold mask. Both
@@ -593,7 +621,7 @@ func fusePlan(run []*level) (plan, bool) {
 // pass the gate (nil accepts everything), dropping the oldest levels of a
 // run that cannot meet its budget. Unlike compaction a single level is a
 // worthwhile freeze unit — the win is the representation, not the merge.
-func planFreezes(ls []*level, gate func(*level) bool) []plan {
+func planFreezes(ls []*level, gate *freezeGate) []plan {
 	return planSegments(ls, vqfRuns(ls, 1, gate), 1, func(seg []*level) (plan, bool) {
 		return shrink(seg, 1, fusePlan)
 	})
@@ -630,20 +658,37 @@ func (l *fuseLevel) asLevel(budget float64) *level {
 		geomFPR: canonFPR(l.srcKind, l.baseTotal, l.foldBlocks) + math.Pow(2, -float64(l.fpBits))}
 }
 
-// autoFreezeGate builds the WithAutoFreeze eligibility predicate: a level
-// qualifies once it has been frozen (out of the insert path) for at least
-// FreezeMinAge and its load factor is at or below FreezeMaxLoad. A zero
-// frozenAt stamp (deserialized cascades) counts as old.
-func autoFreezeGate(cfg Config) func(*level) bool {
-	now := time.Now().UnixNano()
-	minAge := cfg.FreezeMinAge.Nanoseconds()
-	return func(l *level) bool {
-		if fa := l.frozenAt.Load(); fa != 0 && now-fa < minAge {
+// freezeGate is the WithAutoFreeze eligibility test: a level qualifies once
+// it has been frozen (out of the insert path) for at least minAge and its
+// load factor is at or below maxLoad. A zero frozenAt stamp (deserialized
+// cascades) counts as old. now is a monoNow reading, taken only when
+// minAge > 0.
+type freezeGate struct {
+	maxLoad     float64
+	minAge, now int64
+}
+
+// autoFreezeGate returns the gate for cfg's WithAutoFreeze policy.
+func autoFreezeGate(cfg Config) freezeGate {
+	g := freezeGate{maxLoad: cfg.FreezeMaxLoad, minAge: cfg.FreezeMinAge.Nanoseconds()}
+	if g.minAge > 0 {
+		g.now = monoNow()
+	}
+	return g
+}
+
+// admits reports whether l passes the gate; a nil gate admits every level.
+func (g *freezeGate) admits(l *level) bool {
+	if g == nil {
+		return true
+	}
+	if g.minAge > 0 {
+		if fa := l.frozenAt.Load(); fa != 0 && g.now-fa < g.minAge {
 			return false
 		}
-		c := l.filter.Capacity()
-		return c == 0 || float64(l.filter.Count()) <= cfg.FreezeMaxLoad*float64(c)
 	}
+	c := l.filter.Capacity()
+	return c == 0 || float64(l.filter.Count()) <= g.maxLoad*float64(c)
 }
 
 // planThaws plans a rebuild of every fuse level whose tombstone ledger
@@ -688,6 +733,14 @@ func (f *Sharded) FreezeNow() FreezeResult {
 	return res
 }
 
+// clockBase anchors monoNow. time.Since reads the monotonic clock, so a
+// step of the wall clock neither delays nor hastens an auto-freeze.
+var clockBase = time.Now()
+
+// monoNow returns monotonic nanoseconds since clockBase, plus one so that
+// no stamp is the zero "unknown" value.
+func monoNow() int64 { return int64(time.Since(clockBase)) + 1 }
+
 // stampFrozen records when a level left the insert path (creation for
 // merged/fuse/thawed levels, growth time for a superseded newest level).
-func stampFrozen(l *level) { l.frozenAt.Store(time.Now().UnixNano()) }
+func stampFrozen(l *level) { l.frozenAt.Store(monoNow()) }

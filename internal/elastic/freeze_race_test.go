@@ -215,3 +215,99 @@ func TestThawRaceConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeLedgerRace races removes on one ledger word of a concurrent
+// cascade's fuse level: a key frozen base times plus every single-instance
+// key whose vault rank shares that key's 64-bit ledger word. Each goroutine
+// tries every single once and the duplicate base times; exactly base
+// removes of the duplicate and one of each single may succeed, and every
+// target's bit must end up set — a lost CAS would leave one clear.
+func TestFreezeLedgerRace(t *testing.T) {
+	const base, workers = 4, 4
+	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9}
+	f, err := NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := workload.NewStream(62).Keys(8000)
+	dup := keys[100]
+	insertWithDuplicate(t, f, keys, 100, base)
+	if res := f.FreezeNow(); res.FuseLevels == 0 {
+		t.Fatal("expected a fuse level")
+	}
+	ls := f.current()
+	fl, n := fuseHolding(ls, dup)
+	if fl == nil || n != base {
+		t.Fatalf("duplicate frozen with %d instances, want %d", n, base)
+	}
+	// rankOf returns key's vault rank in fl, or -1 when some other level
+	// would catch its remove first (or hold it too).
+	rankOf := func(key uint64) int {
+		for _, l := range ls {
+			if l.filter != coreFilter(fl) && l.filter.Contains(key) {
+				return -1
+			}
+		}
+		return fl.vault.rank(fl.pack(fl.key(key)))
+	}
+	word := rankOf(dup) / 64
+	targets, ranks := []uint64{dup}, []int{rankOf(dup)}
+	for _, key := range keys {
+		if r := rankOf(key); key != dup && r >= 0 && r/64 == word && fl.netOf(fl.pack(fl.key(key))) == 1 {
+			targets, ranks = append(targets, key), append(ranks, r)
+		}
+	}
+	if len(targets) < 16 || uint64(4*(len(targets)+base)) >= fl.baseTotal {
+		t.Fatalf("%d targets share the ledger word of a %d-instance level", len(targets), fl.baseTotal)
+	}
+	t.Logf("%d keys share ledger word %d", len(targets), word)
+	count := f.Count()
+
+	wins := make([]atomic.Int64, len(targets))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := range targets {
+				i := (j + w*len(targets)/workers) % len(targets)
+				tries := 1
+				if i == 0 {
+					tries = base
+				}
+				for ; tries > 0; tries-- {
+					if f.Remove(targets[i]) {
+						wins[i].Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	var want uint64
+	for i, key := range targets {
+		exp := int64(1)
+		if i == 0 {
+			exp = base
+		}
+		if got := wins[i].Load(); got != exp {
+			t.Fatalf("key %#x: %d removes succeeded, want %d", key, got, exp)
+		}
+		if !fl.dead.has(ranks[i]) {
+			t.Fatalf("key %#x: ledger bit %d lost", key, ranks[i])
+		}
+		if f.Contains(key) {
+			t.Fatalf("fully removed key %#x still answers true", key)
+		}
+		want |= 1 << (ranks[i] % 64)
+	}
+	if got := fl.dead[word].Load(); got != want {
+		t.Fatalf("ledger word %#x, want exactly the targets' bits %#x", got, want)
+	}
+	removed := uint64(base + len(targets) - 1)
+	if f.Count() != count-removed || fl.tombTotal.Load() != removed || f.thaws.Load() != 0 {
+		t.Fatalf("Count %d (want %d), tombstones %d (want %d), thaws %d",
+			f.Count(), count-removed, fl.tombTotal.Load(), removed, f.thaws.Load())
+	}
+}

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"vqf/internal/telemetry"
 	"vqf/internal/workload"
 )
 
@@ -165,6 +167,8 @@ func TestFreezeThaw(t *testing.T) {
 	if res := f.FreezeNow(); res.FuseLevels == 0 {
 		t.Fatal("expected a fuse level")
 	}
+	ring := telemetry.NewRing(256)
+	f.SetEventRing(ring)
 	// Remove well past the ¼ tombstone threshold of every frozen level; the
 	// sequential filter thaws inline on the triggering remove.
 	cut := len(live) / 2
@@ -175,6 +179,23 @@ func TestFreezeThaw(t *testing.T) {
 	}
 	if f.thaws.Load() == 0 {
 		t.Fatal("tombstone pressure never thawed a level")
+	}
+	// Every thaw records a start and a finish event; the finishes' A
+	// arguments sum to the thawed-level total and carry a duration.
+	var starts, thawed uint64
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case telemetry.EvThawStart.String():
+			starts++
+		case telemetry.EvThawFinish.String():
+			thawed += ev.A
+			if ev.C == 0 {
+				t.Fatalf("thaw finish event without a duration: %+v", ev)
+			}
+		}
+	}
+	if starts == 0 || thawed != f.thaws.Load() {
+		t.Fatalf("thaw events: %d starts covering %d levels, counter says %d thawed", starts, thawed, f.thaws.Load())
 	}
 	for _, l := range f.levels {
 		if fl, ok := l.filter.(*fuseLevel); ok && fl.needsThaw() {
@@ -449,5 +470,219 @@ func TestBudgetInvariantUnderInterleavings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fuseHolding returns the fuse level of ls whose vault holds key's packed
+// form, with that key's surviving instance count there.
+func fuseHolding(ls []*level, key uint64) (*fuseLevel, uint64) {
+	for _, l := range ls {
+		if fl, ok := l.filter.(*fuseLevel); ok {
+			if n := fl.netOf(fl.pack(fl.key(key))); n > 0 {
+				return fl, n
+			}
+		}
+	}
+	return nil, 0
+}
+
+// insertWithDuplicate inserts keys into f with key keys[at] repeated k
+// times in a row, so its instances share the oldest level.
+func insertWithDuplicate(t *testing.T, f interface{ Insert(uint64) bool }, keys []uint64, at, k int) {
+	t.Helper()
+	for i, key := range keys {
+		n := 1
+		if i == at {
+			n = k
+		}
+		for ; n > 0; n-- {
+			if !f.Insert(key) {
+				t.Fatal("insert failed")
+			}
+		}
+	}
+}
+
+// TestFreezeLedgerDuplicates freezes a key stored k times among its
+// neighbours: exactly k removes succeed, Count drops by one each time, the
+// key stays visible until its last instance goes, and a partly removed
+// duplicate survives WriteTo → Read → WriteTo byte for byte.
+func TestFreezeLedgerDuplicates(t *testing.T) {
+	const k = 5
+	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9}
+	f, _ := New(cfg)
+	keys := workload.NewStream(31).Keys(6000)
+	dup := keys[100]
+	insertWithDuplicate(t, f, keys, 100, k)
+	if res := f.FreezeNow(); res.FuseLevels == 0 {
+		t.Fatal("expected a fuse level")
+	}
+	fl, n := fuseHolding(f.levels, dup)
+	if fl == nil || n != k {
+		t.Fatalf("duplicate frozen with %d instances, want %d", n, k)
+	}
+	p := fl.pack(fl.key(dup))
+	if d := fl.dupes[p]; d == nil || d.base != k {
+		t.Fatalf("duplicate ledger entry %+v, want base %d", d, k)
+	}
+	count := f.Count()
+	for i := 1; i <= k; i++ {
+		if !f.Remove(dup) {
+			t.Fatalf("remove %d of %d frozen instances failed", i, k)
+		}
+		if f.Count() != count-uint64(i) || fl.netOf(p) != uint64(k-i) {
+			t.Fatalf("after %d removes: Count %d (want %d), net %d (want %d)",
+				i, f.Count(), count-uint64(i), fl.netOf(p), k-i)
+		}
+		if got := f.Contains(dup); got != (i < k) {
+			t.Fatalf("after %d of %d removes Contains = %v", i, k, got)
+		}
+		if i == 2 {
+			checkPartialDuplicate(t, f, fl, dup, k-i)
+		}
+	}
+	if f.Remove(dup) {
+		t.Fatalf("remove %d of %d frozen instances succeeded", k+1, k)
+	}
+	if f.Count() != count-k {
+		t.Fatalf("Count drifted to %d after a capped remove, want %d", f.Count(), count-k)
+	}
+	if f.thaws.Load() != 0 {
+		t.Fatal("a handful of removes thawed the level")
+	}
+}
+
+// checkPartialDuplicate checks a cascade whose frozen key dup has left
+// surviving instances in fl: thaw iteration yields it left times, and the
+// cascade reloads byte-identical with a ledger that still admits exactly
+// left removes.
+func checkPartialDuplicate(t *testing.T, f *Filter, fl *fuseLevel, dup uint64, left int) {
+	t.Helper()
+	h := fl.unpack(fl.pack(fl.key(dup)))
+	yields := 0
+	fl.IterateHashes(func(x uint64) bool {
+		if x == h {
+			yields++
+		}
+		return true
+	})
+	if yields != left {
+		t.Fatalf("IterateHashes yields the duplicate %d times, want %d", yields, left)
+	}
+	var a, b bytes.Buffer
+	if _, err := f.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Read(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("WriteTo → Read → WriteTo changed the stream (%d → %d bytes)", a.Len(), b.Len())
+	}
+	count := g.Count()
+	for i := 1; i <= left; i++ {
+		if !g.Remove(dup) || g.Count() != count-uint64(i) {
+			t.Fatalf("reloaded ledger: remove %d of %d left failed (Count %d)", i, left, g.Count())
+		}
+	}
+	if g.Remove(dup) {
+		t.Fatal("reloaded ledger allowed one remove too many")
+	}
+}
+
+// TestFreezeLedgerAllocs pins the frozen remove path as allocation-free: a
+// fuse level's Remove and Contains once it holds tombstones, and a cascade
+// Remove that lands on a fuse level and runs the automatic triggers
+// without crossing the thaw threshold, with and without a freeze age.
+func TestFreezeLedgerAllocs(t *testing.T) {
+	const runs = 100
+	for _, minAge := range []time.Duration{0, time.Hour} {
+		cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9, AutoFreeze: true, FreezeMinAge: minAge}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := workload.NewStream(32).Keys(20000)
+		for _, k := range keys {
+			if !f.Insert(k) {
+				t.Fatal("insert failed")
+			}
+		}
+		f.FreezeNow()
+		// Keys whose newest-first remove lands on a fuse level, grouped by
+		// that level.
+		frozen := map[*fuseLevel][]uint64{}
+		for _, k := range keys {
+			for i := len(f.levels) - 1; i >= 0; i-- {
+				if f.levels[i].filter.Contains(k) {
+					if fl, ok := f.levels[i].filter.(*fuseLevel); ok {
+						frozen[fl] = append(frozen[fl], k)
+					}
+					break
+				}
+			}
+		}
+		var fl *fuseLevel
+		for cand, ks := range frozen {
+			if uint64(4*(2*runs+2)) < cand.baseTotal && len(ks) >= 2*runs+2 {
+				fl = cand
+			}
+		}
+		if fl == nil {
+			t.Fatalf("min age %v: no fuse level large enough", minAge)
+		}
+		ks := frozen[fl]
+		i := 0
+		if a := testing.AllocsPerRun(runs, func() { fl.Remove(ks[i]); i++ }); a != 0 {
+			t.Errorf("min age %v: fuseLevel.Remove allocates %.1f per call", minAge, a)
+		}
+		if a := testing.AllocsPerRun(runs, func() { fl.Contains(ks[0]); fl.Contains(ks[len(ks)-1]) }); a != 0 {
+			t.Errorf("min age %v: fuseLevel.Contains allocates %.1f per call", minAge, a)
+		}
+		thaws := f.thaws.Load()
+		if a := testing.AllocsPerRun(runs, func() {
+			if !f.Remove(ks[i]) {
+				t.Fatal("remove of a frozen key failed")
+			}
+			i++
+		}); a != 0 {
+			t.Errorf("min age %v: Filter.Remove on a fuse level allocates %.1f per call", minAge, a)
+		}
+		if f.thaws.Load() != thaws || fl.Count() != fl.baseTotal-uint64(i) {
+			t.Fatalf("min age %v: removes thawed the level or drifted its count", minAge)
+		}
+	}
+}
+
+// TestFreezeAgeMonotonic pins the auto-freeze age test to monotonic
+// readings: stamps come from monoNow, a level stamped just now is too young
+// for a one-hour FreezeMinAge, a stamp older than that passes, and a zero
+// stamp (a deserialized level) counts as old.
+func TestFreezeAgeMonotonic(t *testing.T) {
+	f, _ := New(Config{TargetFPR: 1.0 / 256})
+	lvl := f.levels[0]
+	before := monoNow()
+	stampFrozen(lvl)
+	if fa := lvl.frozenAt.Load(); fa < before || fa > monoNow() {
+		t.Fatalf("stamp %d outside the monotonic readings around it [%d, %d]", fa, before, monoNow())
+	}
+	g := autoFreezeGate(Config{FreezeMaxLoad: 1, FreezeMinAge: time.Hour})
+	if g.admits(lvl) {
+		t.Fatal("gate admitted a level frozen just now")
+	}
+	lvl.frozenAt.Store(g.now - int64(2*time.Hour))
+	if !g.admits(lvl) {
+		t.Fatal("gate refused a level frozen two hours ago")
+	}
+	lvl.frozenAt.Store(0)
+	if !g.admits(lvl) {
+		t.Fatal("gate refused a level of unknown age")
+	}
+	if g := autoFreezeGate(Config{FreezeMaxLoad: 1}); g.now != 0 {
+		t.Fatal("gate read the clock with no minimum age")
 	}
 }

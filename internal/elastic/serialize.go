@@ -1,12 +1,13 @@
 package elastic
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"vqf/internal/core"
 	"vqf/internal/fuse"
@@ -277,19 +278,26 @@ func appendEntries(b []byte, es []packedEntry) []byte {
 // entry is valid; a racing remove may simply be missed) — callers wanting an
 // exact image serialize a quiesced filter, same as the core filters.
 func (l *fuseLevel) WriteTo(w io.Writer) (int64, error) {
+	// One pass over the vault by rank codes its keys and reads the ledger
+	// in key order, so the tombstone entries come out sorted.
+	blob := make([]byte, 0, 2*l.vault.n+16)
 	var tombs []packedEntry
-	l.tombs.Range(func(key, val any) bool {
-		if r := val.(*tombstone).removed.Load(); r > 0 {
-			tombs = append(tombs, packedEntry{key.(uint64), r})
+	var prev uint64
+	l.vault.iterate(func(r int, p uint64) bool {
+		blob = appendUvarint(blob, p-prev)
+		prev = p
+		if gone := l.instances(p) - l.net(r, p); gone > 0 {
+			tombs = append(tombs, packedEntry{p, gone})
 		}
 		return true
 	})
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i].p < tombs[j].p })
 	dupes := make([]packedEntry, 0, len(l.dupes))
-	for p, extra := range l.dupes {
-		dupes = append(dupes, packedEntry{p, uint64(extra)})
+	for p, d := range l.dupes {
+		dupes = append(dupes, packedEntry{p, d.base - 1})
 	}
-	sort.Slice(dupes, func(i, j int) bool { return dupes[i].p < dupes[j].p })
+	slices.SortFunc(dupes, func(a, b packedEntry) int { return cmp.Compare(a.p, b.p) })
+	blob = appendEntries(blob, dupes)
+	blob = appendEntries(blob, tombs)
 
 	var hdr [fuseLevelHeaderBytes]byte
 	hdr[0] = l.srcKind
@@ -314,22 +322,6 @@ func (l *fuseLevel) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-
-	blob := make([]byte, 0, 2*l.vault.n+16)
-	var prev uint64
-	first := true
-	l.vault.iterate(func(p uint64) bool {
-		if first {
-			blob = appendUvarint(blob, p)
-			first = false
-		} else {
-			blob = appendUvarint(blob, p-prev)
-		}
-		prev = p
-		return true
-	})
-	blob = appendEntries(blob, dupes)
-	blob = appendEntries(blob, tombs)
 
 	var lenbuf [8]byte
 	binary.LittleEndian.PutUint64(lenbuf[:], uint64(len(blob)))
@@ -492,16 +484,16 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	}
 	var extraSum uint64
 	for _, e := range dupes {
-		if !l.vault.contains(e.p) {
+		if l.vault.rank(e.p) < 0 {
 			return nil, fmt.Errorf("%w: fuse level duplicate key %d not in vault", core.ErrBadFormat, e.p)
 		}
 		if e.v > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: fuse level duplicate count %d overflows", core.ErrBadFormat, e.v)
 		}
 		if l.dupes == nil {
-			l.dupes = make(map[uint64]uint32, len(dupes))
+			l.dupes = make(map[uint64]*dupe, len(dupes))
 		}
-		l.dupes[e.p] = uint32(e.v)
+		l.dupes[e.p] = &dupe{base: e.v + 1}
 		extraSum += e.v
 	}
 	if vaultN+extraSum != baseTotal {
@@ -512,18 +504,23 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	if err != nil {
 		return nil, err
 	}
+	l.dead = newRankBits(l.vault.n)
 	var removedSum uint64
 	for _, e := range tombs {
-		inst := l.instances(e.p)
-		if inst == 0 {
+		r := l.vault.rank(e.p)
+		if r < 0 {
 			return nil, fmt.Errorf("%w: fuse level tombstone key %d not in vault", core.ErrBadFormat, e.p)
 		}
+		inst := l.instances(e.p)
 		if e.v > inst {
 			return nil, fmt.Errorf("%w: fuse level tombstone removes %d of %d instances", core.ErrBadFormat, e.v, inst)
 		}
-		t := &tombstone{base: inst}
-		t.removed.Store(e.v)
-		l.tombs.Store(e.p, t)
+		if d := l.dupes[e.p]; d != nil {
+			d.removed.Store(e.v)
+		}
+		if e.v == inst {
+			l.dead.set(r)
+		}
 		removedSum += e.v
 	}
 	if len(blob) != 0 {

@@ -47,6 +47,13 @@ const (
 	// EvFreezeFinish: a cascade freeze finished. A = source levels frozen
 	// away, B = levels after, C = duration ns.
 	EvFreezeFinish
+	// EvThawStart: a cascade thaw (fuse levels past their tombstone
+	// threshold rebuilding into live form) began. A = levels before,
+	// B = live items in the thawing levels.
+	EvThawStart
+	// EvThawFinish: a cascade thaw finished. A = fuse levels thawed,
+	// B = levels after, C = duration ns.
+	EvThawFinish
 	numEventKinds
 )
 
@@ -62,6 +69,8 @@ var eventKindNames = [numEventKinds]string{
 	"compact-finish",
 	"freeze-start",
 	"freeze-finish",
+	"thaw-start",
+	"thaw-finish",
 }
 
 // String returns the event kind's stable identifier (used in JSON).

@@ -106,9 +106,24 @@ func TestRingNil(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
+	seen := map[string]EventKind{}
 	for k := EventKind(0); k < numEventKinds; k++ {
 		if k.String() == "" || k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
+		}
+		if prev, dup := seen[k.String()]; dup {
+			t.Fatalf("kinds %d and %d share the name %q", prev, k, k.String())
+		}
+		seen[k.String()] = k
+	}
+	// Structural-op kinds come in start/finish pairs with stable names.
+	for k, want := range map[EventKind]string{
+		EvCompactStart: "compact-start", EvCompactFinish: "compact-finish",
+		EvFreezeStart: "freeze-start", EvFreezeFinish: "freeze-finish",
+		EvThawStart: "thaw-start", EvThawFinish: "thaw-finish",
+	} {
+		if k.String() != want {
+			t.Fatalf("kind %d is %q, want %q", k, k.String(), want)
 		}
 	}
 	if EventKind(200).String() != "unknown" {
