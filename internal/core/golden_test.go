@@ -72,29 +72,90 @@ func goldenPhase(t *testing.T, f goldenFilter, gomax int, stream *workload.Strea
 	return kept
 }
 
+// goldenPhaseSpec is one scripted phase: its pinned GOMAXPROCS, the
+// single-key operations and the batch size.
+type goldenPhaseSpec struct{ gomax, single, batch int }
+
+// phased returns a golden script that builds a filter and runs phases on it,
+// appending one WriteTo checkpoint per phase.
+func phased(build func() goldenFilter, phases ...goldenPhaseSpec) func(t *testing.T) []byte {
+	return func(t *testing.T) []byte {
+		f := build()
+		stream := workload.NewStream(13)
+		var live []uint64
+		var got bytes.Buffer
+		for _, ph := range phases {
+			live = goldenPhase(t, f, ph.gomax, stream, ph.single, ph.batch, live)
+			if _, err := f.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got.Bytes()
+	}
+}
+
+// goldenKV8 is the value-associating filter's script: Puts to a high load
+// (every Put places two-choice), then Updates and Deletes of stored and
+// absent keys, with a WriteTo checkpoint after the Puts and after the rest.
+func goldenKV8(t *testing.T) []byte {
+	f := NewKV8(1 << 12)
+	var got bytes.Buffer
+	keys := workload.NewStream(13).Keys(5000)
+	for i, h := range keys {
+		f.Put(h, byte(i))
+	}
+	if _, err := f.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	absent := workload.NewStream(14).Keys(500)
+	for i := 0; i < len(keys); i += 3 {
+		f.Update(keys[i], byte(255-i))
+	}
+	for i := 0; i < len(keys); i += 4 {
+		f.Delete(keys[i])
+	}
+	for _, h := range absent {
+		f.Update(h, 7)
+		f.Delete(h)
+	}
+	if _, err := f.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got.Bytes()
+}
+
 // goldenCoreCases are the core filters the golden streams pin. The
 // sequential filters run to a high load so two-choice placement and the
-// shortcut threshold both shape the bytes; the sharded ones run a
-// single-worker phase and a phase large enough (4·minParallelBatch keys at
-// GOMAXPROCS 4) for the shard-disjoint pool to fill every shard.
+// shortcut threshold both shape the bytes; the sharded and concurrent ones
+// run a single-worker phase and a phase large enough (4·minParallelBatch
+// keys at GOMAXPROCS 4) for the claimed-worker pool to run four workers.
+// The concurrent filters are sized so every insert of the parallel phase
+// takes the shortcut into its primary block, which only the worker owning
+// that block's radix part touches: the bytes do not depend on the schedule.
 var goldenCoreCases = []struct {
-	name   string
-	build  func() goldenFilter
-	read   func(r io.Reader) (io.WriterTo, error)
-	phases []struct{ gomax, single, batch int }
+	name string
+	run  func(t *testing.T) []byte
+	read func(r io.Reader) (io.WriterTo, error)
 }{
-	{"filter8", func() goldenFilter { return NewFilter8(1<<13, Options{}) },
-		func(r io.Reader) (io.WriterTo, error) { return ReadFilter8(r) },
-		[]struct{ gomax, single, batch int }{{1, 3000, 4000}, {1, 2000, 4000}}},
-	{"filter16", func() goldenFilter { return NewFilter16(1<<13, Options{}) },
-		func(r io.Reader) (io.WriterTo, error) { return ReadFilter16(r) },
-		[]struct{ gomax, single, batch int }{{1, 3000, 4000}, {1, 2000, 6000}}},
-	{"sharded8", func() goldenFilter { return NewSharded8(24000, 4, Options{}) },
-		readSharded,
-		[]struct{ gomax, single, batch int }{{1, 2000, 3000}, {4, 1000, 4 * minParallelBatch}}},
-	{"sharded16", func() goldenFilter { return NewSharded16(24000, 4, Options{}) },
-		readSharded,
-		[]struct{ gomax, single, batch int }{{1, 2000, 3000}, {4, 1000, 4 * minParallelBatch}}},
+	{"filter8", phased(func() goldenFilter { return NewFilter8(1<<13, Options{}) },
+		goldenPhaseSpec{1, 3000, 4000}, goldenPhaseSpec{1, 2000, 4000}),
+		func(r io.Reader) (io.WriterTo, error) { return ReadFilter8(r) }},
+	{"filter16", phased(func() goldenFilter { return NewFilter16(1<<13, Options{}) },
+		goldenPhaseSpec{1, 3000, 4000}, goldenPhaseSpec{1, 2000, 6000}),
+		func(r io.Reader) (io.WriterTo, error) { return ReadFilter16(r) }},
+	{"sharded8", phased(func() goldenFilter { return NewSharded8(24000, 4, Options{}) },
+		goldenPhaseSpec{1, 2000, 3000}, goldenPhaseSpec{4, 1000, 4 * minParallelBatch}),
+		readSharded},
+	{"sharded16", phased(func() goldenFilter { return NewSharded16(24000, 4, Options{}) },
+		goldenPhaseSpec{1, 2000, 3000}, goldenPhaseSpec{4, 1000, 4 * minParallelBatch}),
+		readSharded},
+	{"cfilter8", phased(func() goldenFilter { return NewCFilter8(1<<16, Options{}) },
+		goldenPhaseSpec{1, 2000, 3000}, goldenPhaseSpec{4, 1000, 4 * minParallelBatch}),
+		func(r io.Reader) (io.WriterTo, error) { return ReadCFilter8(r) }},
+	{"cfilter16", phased(func() goldenFilter { return NewCFilter16(1<<16, Options{}) },
+		goldenPhaseSpec{1, 2000, 3000}, goldenPhaseSpec{4, 1000, 4 * minParallelBatch}),
+		func(r io.Reader) (io.WriterTo, error) { return ReadCFilter16(r) }},
+	{"kv8", goldenKV8, func(r io.Reader) (io.WriterTo, error) { return ReadKV8(r) }},
 }
 
 func readSharded(r io.Reader) (io.WriterTo, error) {
@@ -115,22 +176,13 @@ func readSharded(r io.Reader) (io.WriterTo, error) {
 func TestGoldenCoreStreams(t *testing.T) {
 	for _, tc := range goldenCoreCases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := tc.build()
-			stream := workload.NewStream(13)
-			var live []uint64
-			var got bytes.Buffer
-			for _, ph := range tc.phases {
-				live = goldenPhase(t, f, ph.gomax, stream, ph.single, ph.batch, live)
-				if _, err := f.WriteTo(&got); err != nil {
-					t.Fatal(err)
-				}
-			}
+			got := tc.run(t)
 			path := filepath.Join("testdata", "golden", tc.name+".bin")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -138,8 +190,8 @@ func TestGoldenCoreStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("replayed streams (%d bytes) differ from %s (%d bytes)", got.Len(), path, len(want))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("replayed streams (%d bytes) differ from %s (%d bytes)", len(got), path, len(want))
 			}
 
 			r := bytes.NewReader(want)
