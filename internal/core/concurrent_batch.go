@@ -151,71 +151,39 @@ func resizeBools(dst []bool, n int) []bool {
 // count, not a prefix length — see Filter8.InsertBatch) and the insertion
 // order is unspecified. Safe for concurrent use alongside any other
 // operations.
-func (f *CFilter8) InsertBatch(hs []uint64) int { return f.countBatch(hs, false, true) }
+func (f *CFilter[B, F, P]) InsertBatch(hs []uint64) int { return f.countBatch(hs, false, true) }
 
 // RemoveBatch removes one previously inserted instance of each key of hs in
 // parallel, returning the number found and removed. Safe for concurrent use.
-func (f *CFilter8) RemoveBatch(hs []uint64) int { return f.countBatch(hs, true, true) }
+func (f *CFilter[B, F, P]) RemoveBatch(hs []uint64) int { return f.countBatch(hs, true, true) }
 
 // countBatch is one counted insert or remove batch in block-radix order,
 // fanned out over workers when parallel is set. The sharded filter calls it
 // with parallel unset from its own shard-disjoint workers, so pools never
 // nest.
-func (f *CFilter8) countBatch(hs []uint64, remove, parallel bool) int {
+func (f *CFilter[B, F, P]) countBatch(hs []uint64, remove, parallel bool) int {
 	f.st.Batch(len(hs))
+	op := f.Insert
 	if remove {
-		return blockCount(hs, f.mask, blockShift8, f.Remove, parallel)
+		op = f.Remove
 	}
-	return blockCount(hs, f.mask, blockShift8, f.Insert, parallel)
+	return blockCount(hs, f.mask, 16+fpBits[F](), op, parallel)
 }
 
 // ContainsBatch reports membership for every key of hs, in input order:
 // result[i] corresponds to hs[i]. Lookups run lock-free in parallel. The
 // result reuses dst if it has sufficient capacity (dst may be nil). Safe for
 // concurrent use.
-func (f *CFilter8) ContainsBatch(hs []uint64, dst []bool) []bool {
+func (f *CFilter[B, F, P]) ContainsBatch(hs []uint64, dst []bool) []bool {
 	f.st.Batch(len(hs))
 	out := resizeBools(dst, len(hs))
-	blockContains(hs, out, f.mask, blockShift8, f.Contains)
+	blockContains(hs, out, f.mask, 16+fpBits[F](), f.Contains)
 	return out
 }
 
 // lookupBatch is one counted batch of lookups answering keys[j] into
 // out[idx[j]]: a shard's share of a sharded ContainsBatch.
-func (f *CFilter8) lookupBatch(keys []uint64, idx []int32, out []bool) {
-	f.st.Batch(len(keys))
-	for j, h := range keys {
-		out[idx[j]] = f.Contains(h)
-	}
-}
-
-// InsertBatch inserts the keys of hs in parallel; see CFilter8.InsertBatch.
-func (f *CFilter16) InsertBatch(hs []uint64) int { return f.countBatch(hs, false, true) }
-
-// RemoveBatch removes one instance of each key of hs in parallel; see
-// CFilter8.RemoveBatch.
-func (f *CFilter16) RemoveBatch(hs []uint64) int { return f.countBatch(hs, true, true) }
-
-// countBatch is one counted insert or remove batch; see CFilter8.countBatch.
-func (f *CFilter16) countBatch(hs []uint64, remove, parallel bool) int {
-	f.st.Batch(len(hs))
-	if remove {
-		return blockCount(hs, f.mask, blockShift16, f.Remove, parallel)
-	}
-	return blockCount(hs, f.mask, blockShift16, f.Insert, parallel)
-}
-
-// ContainsBatch reports membership for every key of hs in input order; see
-// CFilter8.ContainsBatch.
-func (f *CFilter16) ContainsBatch(hs []uint64, dst []bool) []bool {
-	f.st.Batch(len(hs))
-	out := resizeBools(dst, len(hs))
-	blockContains(hs, out, f.mask, blockShift16, f.Contains)
-	return out
-}
-
-// lookupBatch is one counted batch of lookups; see CFilter8.lookupBatch.
-func (f *CFilter16) lookupBatch(keys []uint64, idx []int32, out []bool) {
+func (f *CFilter[B, F, P]) lookupBatch(keys []uint64, idx []int32, out []bool) {
 	f.st.Batch(len(keys))
 	for j, h := range keys {
 		out[idx[j]] = f.Contains(h)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
-	"sync/atomic"
 
 	"vqf/internal/minifilter"
 )
@@ -14,15 +12,9 @@ import (
 // serialize to the *same* stream format as their sequential counterparts
 // (magic "VQF1"/"VQF2"): the only in-memory difference is the locked-mode
 // metadata convention — the stored top bit is the lock flag, and a full
-// block's final bucket terminator is implicit — so each block is converted
-// to the plain form on the way out and back on the way in:
-//
-//   - write: a quiescent locked-mode block has the lock bit clear; if its
-//     remaining metadata carries only 79 (resp. 35) terminators the block is
-//     full and the plain form's top bit IS the final terminator, so it is
-//     set. Otherwise the forms are bit-identical.
-//   - read: a plain block's top bit is set exactly when the block is full;
-//     clearing it unconditionally yields the stored locked form.
+// block's final bucket terminator is implicit — so minifilter's codec
+// converts each block to the plain form on the way out and back on the way
+// in (minifilter/codec.go).
 //
 // One format means a filter persisted by a sequential writer can be loaded
 // into a concurrent (or sharded) reader and vice versa.
@@ -41,117 +33,37 @@ const (
 	shardHeaderBytes = 4 + 2 + 2 + 4 + 4
 )
 
-// errLockedBlock reports a serialization attempt on a filter with an active
-// writer.
-func errLockedBlock(i int) error {
-	return fmt.Errorf("core: block %d is locked; serialization requires a quiescent filter", i)
-}
-
-// WriteTo serializes the filter in the sequential Filter8 stream format; it
-// implements io.WriterTo. The filter must be quiescent (see the file
-// comment).
-func (f *CFilter8) WriteTo(w io.Writer) (int64, error) {
-	if err := writeHeader(w, magic8, uint64(len(f.blocks)), f.count.Load(), f.opts); err != nil {
+// WriteTo serializes the filter in the sequential filter stream format of
+// its geometry; it implements io.WriterTo. The filter must be quiescent
+// (see the file comment).
+func (f *CFilter[B, F, P]) WriteTo(w io.Writer) (int64, error) {
+	if err := writeHeader(w, f.geo.magic, uint64(len(f.blocks)), f.count.Load(), f.opts); err != nil {
 		return 0, err
 	}
-	n := int64(headerBytes)
-	buf := make([]byte, 64)
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		lo, hi := b.MetaLo, b.MetaHi
-		if hi&minifilter.LockBit != 0 {
-			return n, errLockedBlock(i)
-		}
-		if bits.OnesCount64(lo)+bits.OnesCount64(hi) == minifilter.B8Buckets-1 {
-			hi |= minifilter.LockBit // full: the top bit is the 80th terminator
-		}
-		binary.LittleEndian.PutUint64(buf[0:], lo)
-		binary.LittleEndian.PutUint64(buf[8:], hi)
-		for j, word := range b.Fps {
-			binary.LittleEndian.PutUint64(buf[16+8*j:], word)
-		}
-		m, err := w.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
+	n, err := minifilter.WriteBlocks[B, P](w, f.blocks, true, nil)
+	return headerBytes + n, err
+}
+
+// read deserializes a geometry-g stream into f: the sequential reader's
+// audit, then the locked-form conversion.
+func (f *CFilter[B, F, P]) read(r io.Reader, g *geometry) (*CFilter[B, F, P], error) {
+	var p plainFilter[B, F, P]
+	if _, err := p.read(r, g, g.magic, 0, 0); err != nil {
+		return nil, err
 	}
-	return n, nil
+	minifilter.ToLocked[B, P](p.blocks)
+	f.init(0, p.blocks, p.opts, g)
+	f.count.Store(p.count)
+	return f, nil
 }
 
 // ReadCFilter8 deserializes a concurrent filter from a Filter8-format stream
 // (written by either CFilter8.WriteTo or Filter8.WriteTo).
-func ReadCFilter8(r io.Reader) (*CFilter8, error) {
-	p, err := readFilter8(r, 0) // validates header, caps, and invariants
-	if err != nil {
-		return nil, err
-	}
-	f := &CFilter8{
-		blocks: p.blocks,
-		seqs:   make([]atomic.Uint64, seqStripesFor(uint64(len(p.blocks)))),
-		mask:   p.mask,
-		opts:   p.opts,
-		thresh: p.opts.threshold(minifilter.B8Slots, defThreshold8),
-	}
-	f.seqMask = uint64(len(f.seqs)) - 1
-	f.count.Store(p.count)
-	for i := range f.blocks {
-		f.blocks[i].MetaHi &^= minifilter.LockBit // plain full-bit -> locked stored form
-	}
-	return f, nil
-}
-
-// WriteTo serializes the filter in the sequential Filter16 stream format; it
-// implements io.WriterTo. The filter must be quiescent.
-func (f *CFilter16) WriteTo(w io.Writer) (int64, error) {
-	if err := writeHeader(w, magic16, uint64(len(f.blocks)), f.count.Load(), f.opts); err != nil {
-		return 0, err
-	}
-	n := int64(headerBytes)
-	buf := make([]byte, 64)
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		meta := b.Meta
-		if meta&minifilter.LockBit != 0 {
-			return n, errLockedBlock(i)
-		}
-		if bits.OnesCount64(meta) == minifilter.B16Buckets-1 {
-			meta |= minifilter.LockBit // full: the top bit is the 36th terminator
-		}
-		binary.LittleEndian.PutUint64(buf[0:], meta)
-		for j, word := range b.Fps {
-			binary.LittleEndian.PutUint64(buf[8+8*j:], word)
-		}
-		m, err := w.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
+func ReadCFilter8(r io.Reader) (*CFilter8, error) { return new(CFilter8).read(r, &geom8) }
 
 // ReadCFilter16 deserializes a concurrent filter from a Filter16-format
 // stream.
-func ReadCFilter16(r io.Reader) (*CFilter16, error) {
-	p, err := readFilter16(r, 0)
-	if err != nil {
-		return nil, err
-	}
-	f := &CFilter16{
-		blocks: p.blocks,
-		seqs:   make([]atomic.Uint64, seqStripesFor(uint64(len(p.blocks)))),
-		mask:   p.mask,
-		opts:   p.opts,
-		thresh: p.opts.threshold(minifilter.B16Slots, defThreshold16),
-	}
-	f.seqMask = uint64(len(f.seqs)) - 1
-	f.count.Store(p.count)
-	for i := range f.blocks {
-		f.blocks[i].Meta &^= minifilter.LockBit
-	}
-	return f, nil
-}
+func ReadCFilter16(r io.Reader) (*CFilter16, error) { return new(CFilter16).read(r, &geom16) }
 
 // writeShardHeader emits the sharded sub-header: magic, version, geometry
 // kind (8 or 16), shard count.

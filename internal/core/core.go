@@ -18,6 +18,7 @@ package core
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
@@ -52,21 +53,44 @@ type Options struct {
 	Generic bool
 }
 
-func (o Options) threshold(slots, def uint) uint {
+func (o Options) threshold(g *geometry) uint {
 	t := o.ShortcutThreshold
 	if t == 0 {
-		t = def
+		t = g.threshold
 	}
-	if t > slots {
-		t = slots // a threshold beyond capacity would let the shortcut path hit a full block
+	if t > uint(g.slots) {
+		t = uint(g.slots) // a threshold beyond capacity would let the shortcut path hit a full block
 	}
 	return t
 }
 
-// Geometry-default shortcut thresholds (see Options.ShortcutThreshold).
+// geometry states a block geometry's constants once: code generic over the
+// geometry reads them from geom8 and geom16, and takes the fingerprint width
+// from the lane type (fpBits). The per-geometry hot paths inline
+// split8/split16 over the same constants.
+type geometry struct {
+	slots, buckets uint64
+	threshold      uint   // default shortcut threshold (see Options.ShortcutThreshold)
+	magic          uint32 // stream magic
+}
+
+var (
+	geom8  = geometry{minifilter.B8Slots, minifilter.B8Buckets, 36 /* 75% of 48 */, 0x31465156 /* "VQF1" */}
+	geom16 = geometry{minifilter.B16Slots, minifilter.B16Buckets, 18 /* 64% of 28 */, 0x32465156 /* "VQF2" */}
+)
+
+// fpBits returns the fingerprint width of lane type F. Each instantiation
+// sees a constant, so the generic filters' shifts fold as split8's do.
+func fpBits[F minifilter.Fingerprint]() uint { return uint(unsafe.Sizeof(F(0))) * 8 }
+
 const (
-	defThreshold8  = 36 // 75% of 48
-	defThreshold16 = 18 // 64% of 28
+	fpBits8  = 8  // fpBits[byte]
+	fpBits16 = 16 // fpBits[uint16]
+
+	// blockShift8/blockShift16 are the hash bit offsets of the primary
+	// block index (see split).
+	blockShift8  = 16 + fpBits8
+	blockShift16 = 16 + fpBits16
 )
 
 // blocksFor returns the power-of-two number of blocks needed for nslots slots
@@ -83,25 +107,37 @@ func blocksFor(nslots uint64, slotsPerBlock uint64) uint64 {
 	return k
 }
 
-// split8 decomposes a 64-bit key hash for the 8-bit-fingerprint geometry.
-func split8(h uint64, mask uint64) (b1 uint64, bucket uint, fp byte, tag uint64) {
-	bucket = uint(uint32(h&0xffff) * minifilter.B8Buckets >> 16)
-	fp = byte(h >> 16)
-	b1 = (h >> 24) & mask
-	// The tag feeding the xor trick is the full mini-filter hash
-	// (bucket, fingerprint): items indistinguishable inside a block must map
-	// to the same partner block.
-	tag = uint64(bucket)<<8 | uint64(fp)
+// split decomposes a 64-bit key hash for a geometry of nbuckets buckets and
+// fpBits-bit fingerprints: bucket index from the low 16 bits (range-reduced),
+// fingerprint from the next fpBits, primary block index from the bits above.
+// The tag feeding the xor trick is the full mini-filter hash (bucket,
+// fingerprint): items indistinguishable inside a block must map to the same
+// partner block.
+func split(h, mask uint64, nbuckets uint32, fpBits uint) (b1 uint64, bucket uint, fp, tag uint64) {
+	bucket = uint(uint32(h&0xffff) * nbuckets >> 16)
+	fp = h >> 16 & (1<<fpBits - 1)
+	b1 = h >> (16 + fpBits) & mask
+	tag = uint64(bucket)<<fpBits | fp
 	return
 }
 
+// splitAs is split for geometry g and lane type F, the generic filters'
+// form.
+func splitAs[F minifilter.Fingerprint](h, mask uint64, g *geometry) (b1 uint64, bucket uint, fp F, tag uint64) {
+	b1, bucket, x, tag := split(h, mask, uint32(g.buckets), fpBits[F]())
+	return b1, bucket, F(x), tag
+}
+
+// split8 decomposes a 64-bit key hash for the 8-bit-fingerprint geometry.
+func split8(h, mask uint64) (b1 uint64, bucket uint, fp byte, tag uint64) {
+	b1, bucket, f, tag := split(h, mask, minifilter.B8Buckets, fpBits8)
+	return b1, bucket, byte(f), tag
+}
+
 // split16 decomposes a 64-bit key hash for the 16-bit-fingerprint geometry.
-func split16(h uint64, mask uint64) (b1 uint64, bucket uint, fp uint16, tag uint64) {
-	bucket = uint(uint32(h&0xffff) * minifilter.B16Buckets >> 16)
-	fp = uint16(h >> 16)
-	b1 = (h >> 32) & mask
-	tag = uint64(bucket)<<16 | uint64(fp)
-	return
+func split16(h, mask uint64) (b1 uint64, bucket uint, fp uint16, tag uint64) {
+	b1, bucket, f, tag := split(h, mask, minifilter.B16Buckets, fpBits16)
+	return b1, bucket, uint16(f), tag
 }
 
 // secondary returns the partner block index for (b1, tag) under opts.

@@ -12,19 +12,9 @@ import "vqf/internal/telemetry"
 
 // SetEventRing attaches r as the filter's rare-event sink. Call before
 // sharing the filter across goroutines.
-func (f *CFilter8) SetEventRing(r *telemetry.Ring) { f.ring = r }
+func (f *CFilter[B, F, P]) SetEventRing(r *telemetry.Ring) { f.ring = r }
 
-// SetEventRing attaches r as the filter's rare-event sink. Call before
-// sharing the filter across goroutines.
-func (f *CFilter16) SetEventRing(r *telemetry.Ring) { f.ring = r }
-
-func (f *CFilter8) fallbackEvent(b uint64, retries uint) {
-	if f.ring != nil {
-		f.ring.Record(telemetry.EvSeqlockFallback, b, uint64(retries), 0)
-	}
-}
-
-func (f *CFilter16) fallbackEvent(b uint64, retries uint) {
+func (f *CFilter[B, F, P]) fallbackEvent(b uint64, retries uint) {
 	if f.ring != nil {
 		f.ring.Record(telemetry.EvSeqlockFallback, b, uint64(retries), 0)
 	}

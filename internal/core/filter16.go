@@ -1,62 +1,23 @@
 package core
 
-import (
-	"vqf/internal/minifilter"
-	"vqf/internal/stats"
-	"vqf/internal/swar"
-)
+import "vqf/internal/swar"
 
 // Filter16 is a single-threaded vector quotient filter with 16-bit
 // fingerprints (target false-positive rate ≈ 2⁻¹⁶; empirically ≈ 0.000023,
 // paper §5). Blocks hold 28 slots across 36 buckets in one 64-byte cache
 // line.
 type Filter16 struct {
-	blocks []minifilter.Block16
-	mask   uint64
-	count  uint64
-	opts   Options
-	thresh uint
-	st     stats.Local
-
-	// scratch backs the sequential batch pipeline (batch.go); owning it here
-	// makes steady-state batch calls allocation-free.
-	scratch batchScratch
+	plain16
+	scratch batchScratch // see Filter8
 }
 
 // NewFilter16 creates a filter with at least nslots fingerprint slots; see
 // NewFilter8 for sizing semantics.
 func NewFilter16(nslots uint64, opts Options) *Filter16 {
-	k := blocksFor(nslots, minifilter.B16Slots)
-	f := &Filter16{
-		blocks: make([]minifilter.Block16, k),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B16Slots, defThreshold16),
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := &Filter16{}
+	f.init(nslots, nil, opts, &geom16)
 	return f
 }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *Filter16) Capacity() uint64 {
-	return uint64(len(f.blocks)) * minifilter.B16Slots
-}
-
-// Count returns the number of fingerprints currently stored.
-func (f *Filter16) Count() uint64 { return f.count }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Filter16) LoadFactor() float64 {
-	return float64(f.count) / float64(f.Capacity())
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *Filter16) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// SizeBytes returns the memory footprint of the block array.
-func (f *Filter16) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
 
 // Insert adds the pre-hashed key h to the filter; see Filter8.Insert.
 func (f *Filter16) Insert(h uint64) bool {
@@ -152,18 +113,3 @@ func (f *Filter16) Remove(h uint64) bool {
 	f.st.RemoveMiss()
 	return false
 }
-
-// BlockOccupancies returns the occupancy of every block.
-func (f *Filter16) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
-	}
-	return out
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Filter16) SlotsPerBlock() uint { return minifilter.B16Slots }
-
-// Stats returns the filter's operation counters; see Filter8.Stats.
-func (f *Filter16) Stats() stats.OpCounts { return f.st.Counts() }

@@ -1,21 +1,12 @@
 package core
 
-import (
-	"vqf/internal/minifilter"
-	"vqf/internal/stats"
-	"vqf/internal/swar"
-)
+import "vqf/internal/swar"
 
 // Filter8 is a single-threaded vector quotient filter with 8-bit fingerprints
 // (target false-positive rate ≈ 2⁻⁸; empirically ≈ 0.004, paper §5). Blocks
 // hold 48 slots across 80 buckets in one 64-byte cache line.
 type Filter8 struct {
-	blocks []minifilter.Block8
-	mask   uint64
-	count  uint64
-	opts   Options
-	thresh uint
-	st     stats.Local
+	plain8
 
 	// scratch backs the sequential batch pipeline (batch.go); owning it here
 	// makes steady-state batch calls allocation-free.
@@ -28,37 +19,10 @@ type Filter8 struct {
 // factors up to ≈ 93% of Capacity with the shortcut optimization enabled
 // (≈ 94.4% without).
 func NewFilter8(nslots uint64, opts Options) *Filter8 {
-	k := blocksFor(nslots, minifilter.B8Slots)
-	f := &Filter8{
-		blocks: make([]minifilter.Block8, k),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B8Slots, defThreshold8),
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := &Filter8{}
+	f.init(nslots, nil, opts, &geom8)
 	return f
 }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *Filter8) Capacity() uint64 {
-	return uint64(len(f.blocks)) * minifilter.B8Slots
-}
-
-// Count returns the number of fingerprints currently stored.
-func (f *Filter8) Count() uint64 { return f.count }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Filter8) LoadFactor() float64 {
-	return float64(f.count) / float64(f.Capacity())
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *Filter8) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// SizeBytes returns the memory footprint of the block array.
-func (f *Filter8) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
 
 // Insert adds the pre-hashed key h to the filter. It returns false if both
 // candidate blocks are full, which with high probability does not happen
@@ -163,20 +127,3 @@ func (f *Filter8) Remove(h uint64) bool {
 	f.st.RemoveMiss()
 	return false
 }
-
-// BlockOccupancies returns the occupancy of every block; the harness uses it
-// to measure placement variance for the power-of-two-choices experiments.
-func (f *Filter8) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
-	}
-	return out
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Filter8) SlotsPerBlock() uint { return minifilter.B8Slots }
-
-// Stats returns the filter's operation counters. Like every other method of
-// the single-threaded filter, it must not race with mutations.
-func (f *Filter8) Stats() stats.OpCounts { return f.st.Counts() }

@@ -5,7 +5,6 @@ import (
 
 	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
-	"vqf/internal/swar"
 )
 
 // Fingerprint iteration and canonical hash reconstruction. A VQF block
@@ -35,17 +34,25 @@ func canonLow16(bucket uint, nbuckets uint) uint64 {
 	return (uint64(bucket)<<16 + uint64(nbuckets) - 1) / uint64(nbuckets)
 }
 
+// canonical reconstructs a canonical preimage hash for an item iterated
+// from block b of a geometry with nbuckets buckets and fpBits-bit
+// fingerprints: split maps it back to exactly (b&mask, bucket, fp) on any
+// filter of that geometry whose block mask covers b.
+func canonical(b uint64, bucket uint, fp, nbuckets uint64, fpBits uint) uint64 {
+	return canonLow16(bucket, uint(nbuckets)) | fp<<16 | b<<(16+fpBits)
+}
+
 // CanonicalHash8 reconstructs a canonical preimage hash for an item iterated
 // from block b of an 8-bit-fingerprint filter: split8 maps it back to
 // exactly (b&mask, bucket, fp) on any filter whose block mask covers b.
 func CanonicalHash8(b uint64, bucket uint, fp byte) uint64 {
-	return canonLow16(bucket, minifilter.B8Buckets) | uint64(fp)<<16 | b<<24
+	return canonical(b, bucket, uint64(fp), minifilter.B8Buckets, fpBits8)
 }
 
 // CanonicalHash16 reconstructs a canonical preimage hash for an item
 // iterated from block b of a 16-bit-fingerprint filter; see CanonicalHash8.
 func CanonicalHash16(b uint64, bucket uint, fp uint16) uint64 {
-	return canonLow16(bucket, minifilter.B16Buckets) | uint64(fp)<<16 | b<<32
+	return canonical(b, bucket, uint64(fp), minifilter.B16Buckets, fpBits16)
 }
 
 // BlocksFor exposes the geometry's block-count rounding (power of two,
@@ -106,25 +113,11 @@ func FoldHash16(h, mask uint64) uint64 {
 // reproduces this filter's contents exactly (same Contains/CountOf
 // behaviour, modulo block-choice placement). It returns false if yield
 // stopped the walk early.
-func (f *Filter8) IterateHashes(yield func(h uint64) bool) bool {
+func (f *plainFilter[B, F, P]) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
-		if !f.blocks[i].Iterate(func(bucket uint, fp byte) bool {
-			return yield(CanonicalHash8(b, bucket, fp))
-		}) {
-			return false
-		}
-	}
-	return true
-}
-
-// IterateHashes yields one canonical hash per stored fingerprint instance;
-// see Filter8.IterateHashes.
-func (f *Filter16) IterateHashes(yield func(h uint64) bool) bool {
-	for i := range f.blocks {
-		b := uint64(i)
-		if !f.blocks[i].Iterate(func(bucket uint, fp uint16) bool {
-			return yield(CanonicalHash16(b, bucket, fp))
+		if !P(&f.blocks[i]).Iterate(func(bucket uint, fp F) bool {
+			return yield(canonical(b, bucket, uint64(fp), f.geo.buckets, fpBits[F]()))
 		}) {
 			return false
 		}
@@ -139,60 +132,28 @@ func (f *Filter16) IterateHashes(yield func(h uint64) bool) bool {
 // view only per block, not across blocks — callers needing a cross-block
 // consistent view must quiesce writers (compaction freezes inserts to the
 // levels it walks and reconciles racing removes through a log).
-func (f *CFilter8) IterateHashes(yield func(h uint64) bool) bool {
+func (f *CFilter[B, F, P]) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
-		if !f.blocks[i].SnapshotIterate(f.seq(b), func(bucket uint, fp byte) bool {
-			return yield(CanonicalHash8(b, bucket, fp))
+		if !f.block(b).SnapshotIterate(f.seq(b), func(bucket uint, fp F) bool {
+			return yield(canonical(b, bucket, uint64(fp), f.geo.buckets, fpBits[F]()))
 		}) {
 			return false
 		}
 	}
 	return true
 }
-
-// IterateHashes yields one canonical hash per stored fingerprint instance;
-// see CFilter8.IterateHashes.
-func (f *CFilter16) IterateHashes(yield func(h uint64) bool) bool {
-	for i := range f.blocks {
-		b := uint64(i)
-		if !f.blocks[i].SnapshotIterate(f.seq(b), func(bucket uint, fp uint16) bool {
-			return yield(CanonicalHash16(b, bucket, fp))
-		}) {
-			return false
-		}
-	}
-	return true
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *CFilter8) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *CFilter16) NumBlocks() uint64 { return uint64(len(f.blocks)) }
 
 // CandidateBlocks returns the two block indices the pre-hashed key h may
 // occupy (equal when the xor trick maps a tag back onto its primary block).
-func (f *Filter8) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split8(h, f.mask)
+func (f *plainFilter[B, F, P]) CandidateBlocks(h uint64) (uint64, uint64) {
+	b1, _, _, tag := splitAs[F](h, f.mask, &f.geo)
 	return b1, secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
 }
 
 // CandidateBlocks returns the two candidate block indices for h.
-func (f *Filter16) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split16(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-}
-
-// CandidateBlocks returns the two candidate block indices for h.
-func (f *CFilter8) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split8(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, false)
-}
-
-// CandidateBlocks returns the two candidate block indices for h.
-func (f *CFilter16) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split16(h, f.mask)
+func (f *CFilter[B, F, P]) CandidateBlocks(h uint64) (uint64, uint64) {
+	b1, _, _, tag := splitAs[F](h, f.mask, &f.geo)
 	return b1, secondary(h, b1, tag, f.mask, false)
 }
 
@@ -200,28 +161,15 @@ func (f *CFilter16) CandidateBlocks(h uint64) (uint64, uint64) {
 // (bucket, fingerprint) stored in block b — which need not be one of h's own
 // candidate blocks; compaction counts a hash's instances across all source
 // blocks that fold onto a destination pair.
-func (f *Filter8) CountAtBlock(b, h uint64) uint64 {
-	_, bucket, fp, _ := split8(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].Probe(bucket, swar.BroadcastByte(fp))))
-}
-
-// CountAtBlock returns the number of matching instances in block b; see
-// Filter8.CountAtBlock.
-func (f *Filter16) CountAtBlock(b, h uint64) uint64 {
-	_, bucket, fp, _ := split16(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].Probe(bucket, swar.BroadcastU16(fp))))
+func (f *plainFilter[B, F, P]) CountAtBlock(b, h uint64) uint64 {
+	_, bucket, fp, _ := splitAs[F](h, f.mask, &f.geo)
+	return uint64(bits.OnesCount64(P(&f.blocks[b]).Probe(bucket, minifilter.Broadcast(fp))))
 }
 
 // CountAtBlock returns the number of matching instances in block b from a
-// consistent lock-free block snapshot; see Filter8.CountAtBlock.
-func (f *CFilter8) CountAtBlock(b, h uint64) uint64 {
-	_, bucket, fp, _ := split8(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].ProbeOptimistic(f.seq(b), bucket, swar.BroadcastByte(fp))))
-}
-
-// CountAtBlock returns the number of matching instances in block b; see
-// CFilter8.CountAtBlock.
-func (f *CFilter16) CountAtBlock(b, h uint64) uint64 {
-	_, bucket, fp, _ := split16(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].ProbeOptimistic(f.seq(b), bucket, swar.BroadcastU16(fp))))
+// consistent lock-free block snapshot; see plainFilter.CountAtBlock.
+func (f *CFilter[B, F, P]) CountAtBlock(b, h uint64) uint64 {
+	_, bucket, fp, _ := splitAs[F](h, f.mask, &f.geo)
+	mask, _, _ := f.block(b).ProbeOptimistic(f.seq(b), bucket, minifilter.Broadcast(fp))
+	return uint64(bits.OnesCount64(mask))
 }

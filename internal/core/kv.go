@@ -2,7 +2,6 @@ package core
 
 import (
 	"vqf/internal/minifilter"
-	"vqf/internal/stats"
 )
 
 // KVFilter8 is a value-associating vector quotient filter (paper §8: "like
@@ -16,25 +15,20 @@ import (
 // returns the value of *a* matching fingerprint, so a false positive — with
 // probability ≈ 2·(s/b)·2⁻⁸ — returns an arbitrary stored value. Keys are a
 // multiset; duplicate Puts stack, and Delete removes one instance.
+//
+// Puts count as inserts in Stats, Gets and Updates as lookups, Deletes as
+// removes or remove-misses; the shortcut and optimistic counters stay zero
+// (the KV filter always places two-choice and is single-threaded).
 type KVFilter8 struct {
-	blocks []minifilter.Block8
-	vals   []byte // B8Slots bytes per block, parallel to block fingerprints
-	mask   uint64
-	count  uint64
-	st     stats.Local
+	plain8
+	vals []byte // B8Slots bytes per block, parallel to block fingerprints
 }
 
 // NewKV8 creates a value-associating filter with at least nslots slots.
 func NewKV8(nslots uint64) *KVFilter8 {
-	k := blocksFor(nslots, minifilter.B8Slots)
-	f := &KVFilter8{
-		blocks: make([]minifilter.Block8, k),
-		vals:   make([]byte, k*minifilter.B8Slots),
-		mask:   k - 1,
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := &KVFilter8{}
+	f.init(nslots, nil, Options{}, &geom8)
+	f.vals = make([]byte, uint64(len(f.blocks))*minifilter.B8Slots)
 	return f
 }
 
@@ -130,34 +124,7 @@ func (f *KVFilter8) deleteFrom(b uint64, bucket uint, fp byte) bool {
 	return true
 }
 
-// Count returns the number of stored key/value pairs.
-func (f *KVFilter8) Count() uint64 { return f.count }
-
-// Capacity returns the total number of slots.
-func (f *KVFilter8) Capacity() uint64 { return uint64(len(f.blocks)) * minifilter.B8Slots }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *KVFilter8) LoadFactor() float64 { return float64(f.count) / float64(f.Capacity()) }
-
 // SizeBytes returns the footprint of blocks plus values.
 func (f *KVFilter8) SizeBytes() uint64 {
-	return uint64(len(f.blocks))*64 + uint64(len(f.vals))
+	return f.plain8.SizeBytes() + uint64(len(f.vals))
 }
-
-// BlockOccupancies returns the occupancy of every block.
-func (f *KVFilter8) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
-	}
-	return out
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *KVFilter8) SlotsPerBlock() uint { return minifilter.B8Slots }
-
-// Stats returns the filter's operation counters. Puts count as inserts,
-// Gets and Updates as lookups, Deletes as removes/remove-misses; the
-// shortcut and optimistic counters stay zero (the KV filter always places
-// two-choice and is single-threaded).
-func (f *KVFilter8) Stats() stats.OpCounts { return f.st.Counts() }

@@ -14,19 +14,14 @@ import (
 // the raw block array. Filters can be built offline and shipped alongside
 // the data they summarize — the way storage systems persist SSTable filters.
 
+// The 8- and 16-bit streams carry their geometry's magic (geom8, geom16);
+// the value-associating filter's stream carries magicKV.
 const (
-	magic8         = 0x31465156 // "VQF1"
-	magic16        = 0x32465156 // "VQF2"
 	magicKV        = 0x4b465156 // "VQFK"
 	serialVersion  = 1
 	headerBytes    = 4 + 2 + 2 + 8 + 8 + 8 // magic, version, flags, blocks, count, reserved
 	flagNoShortcut = 1 << 0
 	flagIndepHash  = 1 << 1
-
-	// Serialized bytes per block for each stream type: the 64-byte block,
-	// plus the parallel value bytes for the KV filter.
-	blockBytes   = 64
-	kvBlockBytes = 64 + minifilter.B8Slots
 )
 
 // ErrBadFormat is returned when deserializing data that is not a filter of
@@ -114,29 +109,43 @@ func readHeader(r io.Reader, wantMagic uint32, bytesPerBlock, slotsPerBlock uint
 }
 
 // WriteTo serializes the filter. It implements io.WriterTo.
-func (f *Filter8) WriteTo(w io.Writer) (int64, error) {
-	if err := writeHeader(w, magic8, uint64(len(f.blocks)), f.count, f.opts); err != nil {
+func (f *plainFilter[B, F, P]) WriteTo(w io.Writer) (int64, error) {
+	return f.writeTo(w, f.geo.magic, nil)
+}
+
+// writeTo writes the header with magic, then the blocks, each followed by
+// its share of side (minifilter.WriteBlocks).
+func (f *plainFilter[B, F, P]) writeTo(w io.Writer, magic uint32, side []byte) (int64, error) {
+	if err := writeHeader(w, magic, uint64(len(f.blocks)), f.count, f.opts); err != nil {
 		return 0, err
 	}
-	n := int64(headerBytes)
-	buf := make([]byte, 64)
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		binary.LittleEndian.PutUint64(buf[0:], b.MetaLo)
-		binary.LittleEndian.PutUint64(buf[8:], b.MetaHi)
-		// Word-native lanes are little-endian within each word, so one
-		// PutUint64 per word emits the same byte stream as the historical
-		// byte-array layout: the on-disk format is unchanged.
-		for j, word := range b.Fps {
-			binary.LittleEndian.PutUint64(buf[16+8*j:], word)
-		}
-		m, err := w.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
+	n, err := minifilter.WriteBlocks[B, P](w, f.blocks, false, side)
+	return headerBytes + n, err
+}
+
+// read deserializes a stream written by writeTo with magic into f, returning
+// the side bytes (stride per block). A non-zero wantBlocks is the block
+// count the caller's geometry requires. The stream is untrusted: f is
+// audited (CheckInvariants) before it is returned.
+func (f *plainFilter[B, F, P]) read(r io.Reader, g *geometry, magic uint32, wantBlocks uint64, stride int) ([]byte, error) {
+	nblocks, count, opts, err := readHeader(r, magic, uint64(minifilter.BlockBytes+stride), g.slots)
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	if wantBlocks != 0 && nblocks != wantBlocks {
+		return nil, fmt.Errorf("%w: stream has %d blocks, declared geometry needs %d",
+			ErrBadFormat, nblocks, wantBlocks)
+	}
+	blocks, side, err := minifilter.ReadBlocks[B, P](r, nblocks, stride)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	f.init(0, blocks, opts, g)
+	f.count = count
+	if err := f.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	return side, nil
 }
 
 // ReadFilter8 deserializes a Filter8 written by WriteTo.
@@ -149,143 +158,15 @@ func ReadFilter8(r io.Reader) (*Filter8, error) {
 // stream's block count must equal the geometry NewFilter8(wantSlots, ...)
 // would build, rejecting inconsistent streams before any block allocation.
 func ReadFilter8Sized(r io.Reader, wantSlots uint64) (*Filter8, error) {
-	return readFilter8(r, blocksFor(wantSlots, minifilter.B8Slots))
+	return readFilter8(r, blocksFor(wantSlots, geom8.slots))
 }
 
 func readFilter8(r io.Reader, wantBlocks uint64) (*Filter8, error) {
-	nblocks, count, opts, err := readHeader(r, magic8, blockBytes, minifilter.B8Slots)
-	if err != nil {
+	f := &Filter8{}
+	if _, err := f.read(r, &geom8, geom8.magic, wantBlocks, 0); err != nil {
 		return nil, err
 	}
-	if wantBlocks != 0 && nblocks != wantBlocks {
-		return nil, fmt.Errorf("%w: stream has %d blocks, declared geometry needs %d",
-			ErrBadFormat, nblocks, wantBlocks)
-	}
-	f := &Filter8{
-		mask:   nblocks - 1,
-		count:  count,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B8Slots, defThreshold8),
-	}
-	// Grow the block array in chunks while reading so a forged header
-	// claiming an enormous block count fails on truncated input instead of
-	// allocating the claimed size up front.
-	const chunk = 1 << 16
-	buf := make([]byte, 64)
-	for read := uint64(0); read < nblocks; {
-		n := nblocks - read
-		if n > chunk {
-			n = chunk
-		}
-		f.blocks = append(f.blocks, make([]minifilter.Block8, n)...)
-		for j := uint64(0); j < n; j++ {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-			}
-			b := &f.blocks[read+j]
-			b.MetaLo = binary.LittleEndian.Uint64(buf[0:])
-			b.MetaHi = binary.LittleEndian.Uint64(buf[8:])
-			for k := range b.Fps {
-				b.Fps[k] = binary.LittleEndian.Uint64(buf[16+8*k:])
-			}
-		}
-		read += n
-	}
-	// Serialized data is untrusted: corrupted metadata would send block
-	// operations out of bounds later, so audit the structure now.
-	if err := f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
 	return f, nil
-}
-
-// WriteTo serializes the value-associating filter: the standard header,
-// then each block's 64 bytes followed by its parallel value bytes. It
-// implements io.WriterTo.
-func (f *KVFilter8) WriteTo(w io.Writer) (int64, error) {
-	if err := writeHeader(w, magicKV, uint64(len(f.blocks)), f.count, Options{}); err != nil {
-		return 0, err
-	}
-	n := int64(headerBytes)
-	buf := make([]byte, kvBlockBytes)
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		binary.LittleEndian.PutUint64(buf[0:], b.MetaLo)
-		binary.LittleEndian.PutUint64(buf[8:], b.MetaHi)
-		for j, word := range b.Fps {
-			binary.LittleEndian.PutUint64(buf[16+8*j:], word)
-		}
-		copy(buf[blockBytes:], f.blockVals(uint64(i)))
-		m, err := w.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadKV8 deserializes a KVFilter8 written by WriteTo.
-func ReadKV8(r io.Reader) (*KVFilter8, error) {
-	nblocks, count, _, err := readHeader(r, magicKV, kvBlockBytes, minifilter.B8Slots)
-	if err != nil {
-		return nil, err
-	}
-	f := &KVFilter8{
-		mask:  nblocks - 1,
-		count: count,
-	}
-	const chunk = 1 << 16
-	buf := make([]byte, kvBlockBytes)
-	for read := uint64(0); read < nblocks; {
-		n := nblocks - read
-		if n > chunk {
-			n = chunk
-		}
-		f.blocks = append(f.blocks, make([]minifilter.Block8, n)...)
-		f.vals = append(f.vals, make([]byte, n*minifilter.B8Slots)...)
-		for j := uint64(0); j < n; j++ {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-			}
-			b := &f.blocks[read+j]
-			b.MetaLo = binary.LittleEndian.Uint64(buf[0:])
-			b.MetaHi = binary.LittleEndian.Uint64(buf[8:])
-			for k := range b.Fps {
-				b.Fps[k] = binary.LittleEndian.Uint64(buf[16+8*k:])
-			}
-			copy(f.blockVals(read+j), buf[blockBytes:])
-		}
-		read += n
-	}
-	if err := f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return f, nil
-}
-
-// WriteTo serializes the filter. It implements io.WriterTo.
-func (f *Filter16) WriteTo(w io.Writer) (int64, error) {
-	if err := writeHeader(w, magic16, uint64(len(f.blocks)), f.count, f.opts); err != nil {
-		return 0, err
-	}
-	n := int64(headerBytes)
-	buf := make([]byte, 64)
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		binary.LittleEndian.PutUint64(buf[0:], b.Meta)
-		// As with Filter8, word-native uint16 lanes serialize byte-identically
-		// to the historical per-lane little-endian encoding.
-		for j, word := range b.Fps {
-			binary.LittleEndian.PutUint64(buf[8+8*j:], word)
-		}
-		m, err := w.Write(buf)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // ReadFilter16 deserializes a Filter16 written by WriteTo.
@@ -295,46 +176,31 @@ func ReadFilter16(r io.Reader) (*Filter16, error) {
 
 // ReadFilter16Sized is ReadFilter8Sized for the 16-bit geometry.
 func ReadFilter16Sized(r io.Reader, wantSlots uint64) (*Filter16, error) {
-	return readFilter16(r, blocksFor(wantSlots, minifilter.B16Slots))
+	return readFilter16(r, blocksFor(wantSlots, geom16.slots))
 }
 
 func readFilter16(r io.Reader, wantBlocks uint64) (*Filter16, error) {
-	nblocks, count, opts, err := readHeader(r, magic16, blockBytes, minifilter.B16Slots)
+	f := &Filter16{}
+	if _, err := f.read(r, &geom16, geom16.magic, wantBlocks, 0); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// WriteTo serializes the value-associating filter: the standard header,
+// then each block's 64 bytes followed by its parallel value bytes. It
+// implements io.WriterTo.
+func (f *KVFilter8) WriteTo(w io.Writer) (int64, error) {
+	return f.writeTo(w, magicKV, f.vals)
+}
+
+// ReadKV8 deserializes a KVFilter8 written by WriteTo.
+func ReadKV8(r io.Reader) (*KVFilter8, error) {
+	f := &KVFilter8{}
+	vals, err := f.read(r, &geom8, magicKV, 0, minifilter.B8Slots)
 	if err != nil {
 		return nil, err
 	}
-	if wantBlocks != 0 && nblocks != wantBlocks {
-		return nil, fmt.Errorf("%w: stream has %d blocks, declared geometry needs %d",
-			ErrBadFormat, nblocks, wantBlocks)
-	}
-	f := &Filter16{
-		mask:   nblocks - 1,
-		count:  count,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B16Slots, defThreshold16),
-	}
-	const chunk = 1 << 16
-	buf := make([]byte, 64)
-	for read := uint64(0); read < nblocks; {
-		n := nblocks - read
-		if n > chunk {
-			n = chunk
-		}
-		f.blocks = append(f.blocks, make([]minifilter.Block16, n)...)
-		for j := uint64(0); j < n; j++ {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-			}
-			b := &f.blocks[read+j]
-			b.Meta = binary.LittleEndian.Uint64(buf[0:])
-			for k := range b.Fps {
-				b.Fps[k] = binary.LittleEndian.Uint64(buf[8+8*k:])
-			}
-		}
-		read += n
-	}
-	if err := f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
+	f.opts, f.vals = Options{}, vals // the KV stream's option flags are unused
 	return f, nil
 }

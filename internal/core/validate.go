@@ -1,90 +1,21 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
+import "fmt"
 
-	"vqf/internal/minifilter"
-)
-
-// CheckInvariants verifies the filter's structural invariants: every block's
-// metadata holds exactly B8Buckets terminator bits with no used bits above
-// the final one, and block occupancies sum to Count. It returns a
-// descriptive error for the first violation found; the test suite uses it
-// for corruption (failure-injection) testing and long-churn audits.
-func (f *Filter8) CheckInvariants() error {
-	return checkBlocks8(f.blocks, f.count)
-}
-
-// CheckInvariants verifies the value-associating filter's structural
-// invariants (the value array is opaque bytes, so the block audit is the
-// whole check); see Filter8.CheckInvariants.
-func (f *KVFilter8) CheckInvariants() error {
-	if uint64(len(f.vals)) != uint64(len(f.blocks))*minifilter.B8Slots {
-		return fmt.Errorf("value array holds %d bytes for %d blocks", len(f.vals), len(f.blocks))
-	}
-	return checkBlocks8(f.blocks, f.count)
-}
-
-// checkBlocks8 audits an 8-bit-geometry block array: every block holds
-// exactly B8Buckets terminator bits with no used bits above the final one,
-// and occupancies sum to count.
-func checkBlocks8(blocks []minifilter.Block8, count uint64) error {
-	var total uint64
-	for i := range blocks {
-		b := &blocks[i]
-		ones := bits.OnesCount64(b.MetaLo) + bits.OnesCount64(b.MetaHi)
-		if ones != minifilter.B8Buckets {
-			return fmt.Errorf("block %d: %d terminator bits, want %d", i, ones, minifilter.B8Buckets)
-		}
-		occ := b.Occupancy()
-		if occ > minifilter.B8Slots {
-			return fmt.Errorf("block %d: occupancy %d exceeds %d slots", i, occ, minifilter.B8Slots)
-		}
-		// No metadata bit may lie above the final terminator.
-		used := minifilter.B8Buckets + occ
-		if used < 128 {
-			loMask, hiMask := usedMask128(uint(used))
-			if b.MetaLo&^loMask != 0 || b.MetaHi&^hiMask != 0 {
-				return fmt.Errorf("block %d: metadata bits above the final terminator", i)
-			}
-		}
-		total += uint64(occ)
-	}
-	if total != count {
-		return fmt.Errorf("occupancy sum %d != count %d", total, count)
-	}
-	return nil
-}
-
-func usedMask128(used uint) (lo, hi uint64) {
-	if used >= 128 {
-		return ^uint64(0), ^uint64(0)
-	}
-	if used >= 64 {
-		return ^uint64(0), 1<<(used-64) - 1
-	}
-	return 1<<used - 1, 0
-}
-
-// CheckInvariants verifies the 16-bit filter's structural invariants; see
-// Filter8.CheckInvariants.
-func (f *Filter16) CheckInvariants() error {
+// CheckInvariants verifies the filter's structural invariants: every block
+// passes minifilter's Validate (exactly its geometry's bucket count of
+// terminator bits), and block occupancies sum to Count. It returns a
+// descriptive error for the first violation found; the stream readers run
+// it on untrusted input, and the test suite uses it for corruption
+// (failure-injection) testing and long-churn audits.
+func (f *plainFilter[B, F, P]) CheckInvariants() error {
 	var total uint64
 	for i := range f.blocks {
-		b := &f.blocks[i]
-		if ones := bits.OnesCount64(b.Meta); ones != minifilter.B16Buckets {
-			return fmt.Errorf("block %d: %d terminator bits, want %d", i, ones, minifilter.B16Buckets)
+		blk := P(&f.blocks[i])
+		if err := blk.Validate(); err != nil {
+			return fmt.Errorf("block %d: %w", i, err)
 		}
-		occ := b.Occupancy()
-		if occ > minifilter.B16Slots {
-			return fmt.Errorf("block %d: occupancy %d exceeds %d slots", i, occ, minifilter.B16Slots)
-		}
-		used := minifilter.B16Buckets + occ
-		if used < 64 && b.Meta&^(1<<used-1) != 0 {
-			return fmt.Errorf("block %d: metadata bits above the final terminator", i)
-		}
-		total += uint64(occ)
+		total += uint64(blk.Occupancy())
 	}
 	if total != f.count {
 		return fmt.Errorf("occupancy sum %d != count %d", total, f.count)
@@ -92,5 +23,12 @@ func (f *Filter16) CheckInvariants() error {
 	return nil
 }
 
-// Blocks exposes the block array for white-box corruption tests.
-func (f *Filter8) Blocks() []minifilter.Block8 { return f.blocks }
+// CheckInvariants verifies the value-associating filter's structural
+// invariants (the value array is opaque bytes, so beyond its length the
+// block audit is the whole check).
+func (f *KVFilter8) CheckInvariants() error {
+	if uint64(len(f.vals)) != uint64(len(f.blocks))*f.geo.slots {
+		return fmt.Errorf("value array holds %d bytes for %d blocks", len(f.vals), len(f.blocks))
+	}
+	return f.plain8.CheckInvariants()
+}

@@ -1,6 +1,10 @@
 package elastic
 
-import "sync/atomic"
+import (
+	"io"
+	"runtime"
+	"sync/atomic"
+)
 
 // CFilter is the thread-safe elastic VQF. The level list is immutable and
 // published through an atomic pointer: readers (Contains, Remove, Snapshot)
@@ -37,7 +41,18 @@ func NewConcurrent(cfg Config) (*CFilter, error) {
 	return f, nil
 }
 
-func (f *CFilter) current() []*level   { return *f.levels.Load() }
+func (f *CFilter) current() []*level { return *f.levels.Load() }
+
+// WriteTo serializes the cascade in the sequential Filter's format: Read
+// loads it back as a Filter. The caller must keep inserts and removes out;
+// WriteTo first waits for the automatic structural ops already dispatched,
+// so the stream and the filter it leaves behind hold the same levels.
+func (f *CFilter) WriteTo(w io.Writer) (int64, error) {
+	for f.compacting.Load() || f.freezing.Load() {
+		runtime.Gosched()
+	}
+	return f.cascade.WriteTo(w)
+}
 func (f *CFilter) publish(ls []*level) { f.levels.Store(&ls) }
 
 // dispatch runs an automatic op on a background goroutine, unless one of

@@ -33,7 +33,8 @@ import (
 // kinds (kindFuse8/kindFuse16) whose streams are fuse levels — see
 // writeFuseLevel. Versions 1 and 2 are still read.
 //
-// Only sequential cascades serialize, matching the core filters.
+// Both cascades write the same stream, which always reads back as a
+// sequential Filter.
 
 const (
 	magicElastic   = 0x45465156 // "VQFE"
@@ -55,12 +56,18 @@ const (
 	eflagNoShortcut = 1 << 0
 )
 
-// WriteTo serializes the cascade. It implements io.WriterTo.
-func (f *Filter) WriteTo(w io.Writer) (int64, error) {
+// WriteTo serializes the cascade's current level list. It implements
+// io.WriterTo. It holds the fence, so on a CFilter it serializes with
+// structural ops; inserts and removes must be kept out by the caller (see
+// CFilter.WriteTo).
+func (f *cascade) WriteTo(w io.Writer) (int64, error) {
+	f.fence.lock()
+	defer f.fence.unlock()
+	levels := f.hooks.current()
 	var hdr [elasticHeaderV3Bytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicElastic)
 	binary.LittleEndian.PutUint16(hdr[4:], elasticVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(f.levels)))
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(levels)))
 	var flags uint16
 	if f.cfg.NoShortcut {
 		flags |= eflagNoShortcut
@@ -77,7 +84,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	n := int64(len(hdr))
-	for _, lvl := range f.levels {
+	for _, lvl := range levels {
 		var rec [levelRecordBytes]byte
 		rec[0] = lvl.kind
 		rec[1] = byte(bits.TrailingZeros64(lvl.filter.NumBlocks()))

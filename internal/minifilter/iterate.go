@@ -130,40 +130,3 @@ func (b *Block16) SnapshotIterate(seq *atomic.Uint64, yield func(bucket uint, fp
 	b.Unlock()
 	return IterSlots64(s.meta, &s.fps, yield)
 }
-
-// ProbeOptimistic returns the slot match mask of the pre-broadcast
-// fingerprint within bucket from a validated lock-free snapshot of a
-// locked-mode block, falling back to the block lock after repeated
-// conflicts. It is the counting analogue of ContainsOptimisticCountedB
-// (which only needs mask != 0): compaction's removal reconciliation counts
-// matching instances, so it needs the full mask.
-func (b *Block8) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) uint64 {
-	var s snap8
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe8(s.lo, s.hi, &s.fps, bucket, bcast)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	lo, hi := b.metaLocked()
-	mask := probe8(lo, hi, &b.Fps, bucket, bcast)
-	b.Unlock()
-	return mask
-}
-
-// ProbeOptimistic returns the slot match mask from a validated lock-free
-// snapshot; see Block8.ProbeOptimistic.
-func (b *Block16) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) uint64 {
-	var s snap16
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe16(s.meta, &s.fps, bucket, bcast)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	mask := probe16(b.metaLocked(), &b.Fps, bucket, bcast)
-	b.Unlock()
-	return mask
-}

@@ -219,11 +219,12 @@ func TestProbeOptimistic(t *testing.T) {
 	b.InsertLocked(5, 0xCD)
 	b.UnlockBump(&seq)
 	bcast := uint64(0xABABABABABABABAB)
-	if got := popcount(b.ProbeOptimistic(&seq, 5, bcast)); got != 2 {
-		t.Fatalf("ProbeOptimistic matched %d instances, want 2", got)
+	mask, retries, fellBack := b.ProbeOptimistic(&seq, 5, bcast)
+	if got := popcount(mask); got != 2 || retries != 0 || fellBack {
+		t.Fatalf("ProbeOptimistic matched %d instances (retries %d, fell back %v), want 2", got, retries, fellBack)
 	}
-	if got := popcount(b.ProbeOptimistic(&seq, 6, bcast)); got != 0 {
-		t.Fatalf("ProbeOptimistic matched %d in empty bucket", got)
+	if mask, _, _ := b.ProbeOptimistic(&seq, 6, bcast); popcount(mask) != 0 {
+		t.Fatalf("ProbeOptimistic matched %d in empty bucket", popcount(mask))
 	}
 }
 

@@ -31,11 +31,6 @@ import (
 
 const lockBit = uint64(1) << 63
 
-// LockBit exposes the locked-mode lock flag (the top metadata bit) to
-// internal/core, whose serializer converts between the locked and plain
-// metadata conventions.
-const LockBit = lockBit
-
 // The locked-mode protocol depends on blocks being exactly one 64-byte cache
 // line with word-aligned fingerprint storage; both are asserted at compile
 // time.
@@ -46,31 +41,31 @@ var (
 	_ [0]struct{} = [64 - unsafe.Sizeof(Block16{})]struct{}{}
 )
 
-// TryLock attempts to acquire the block's lock bit; it reports success.
-func (b *Block8) TryLock() bool {
-	old := atomic.LoadUint64(&b.MetaHi)
-	if old&lockBit != 0 {
-		return false
-	}
-	return atomic.CompareAndSwapUint64(&b.MetaHi, old, old|lockBit)
+// tryLock, lock and unlock implement the spin lock on a block's lock word
+// (the metadata word holding its top bit).
+func tryLock(w *uint64) bool {
+	old := atomic.LoadUint64(w)
+	return old&lockBit == 0 && atomic.CompareAndSwapUint64(w, old, old|lockBit)
 }
 
-// Lock spins until the block's lock bit is acquired.
-func (b *Block8) Lock() {
-	for i := 0; ; i++ {
-		if b.TryLock() {
-			return
-		}
+func lock(w *uint64) {
+	for i := 0; !tryLock(w); i++ {
 		if i&63 == 63 {
 			runtime.Gosched()
 		}
 	}
 }
 
+func unlock(w *uint64) { atomic.StoreUint64(w, atomic.LoadUint64(w)&^lockBit) }
+
+// TryLock attempts to acquire the block's lock bit; it reports success.
+func (b *Block8) TryLock() bool { return tryLock(&b.MetaHi) }
+
+// Lock spins until the block's lock bit is acquired.
+func (b *Block8) Lock() { lock(&b.MetaHi) }
+
 // Unlock releases the block's lock bit.
-func (b *Block8) Unlock() {
-	atomic.StoreUint64(&b.MetaHi, atomic.LoadUint64(&b.MetaHi)&^lockBit)
-}
+func (b *Block8) Unlock() { unlock(&b.MetaHi) }
 
 // UnlockBump publishes a mutation and releases the lock: it bumps the
 // seqlock version stripe associated with this block, then clears the lock
@@ -136,13 +131,8 @@ func bucketRange128(lo, hi uint64, bucket uint) (start, end uint) {
 	return p - bucket + 1, q - bucket
 }
 
-// ContainsLocked reports whether fp is present in bucket. The caller must
-// hold the block lock.
-func (b *Block8) ContainsLocked(bucket uint, fp byte) bool {
-	return b.ContainsLockedB(bucket, swar.BroadcastByte(fp))
-}
-
-// ContainsLockedB is ContainsLocked with a pre-broadcast fingerprint.
+// ContainsLockedB reports whether the pre-broadcast fingerprint is present
+// in bucket. The caller must hold the block lock.
 func (b *Block8) ContainsLockedB(bucket uint, bcast uint64) bool {
 	lo, hi := b.metaLocked()
 	return probe8(lo, hi, &b.Fps, bucket, bcast) != 0
@@ -162,7 +152,7 @@ func (b *Block8) InsertLocked(bucket uint, fp byte) bool {
 	// re-set it afterwards: it is the still-held lock, and coincides with the
 	// final terminator if the insert filled the block.
 	newLo, newHi, _ := insertSlot8(lo, hi, &buf, bucket, fp)
-	b.publishFps(&buf)
+	publish(b.Fps[:], buf[:])
 	atomic.StoreUint64(&b.MetaLo, newLo)
 	atomic.StoreUint64(&b.MetaHi, newHi|lockBit)
 	return true
@@ -184,45 +174,28 @@ func (b *Block8) RemoveLocked(bucket uint, fp byte) bool {
 	if z < 0 {
 		return false
 	}
-	b.publishFps(&buf)
+	publish(b.Fps[:], buf[:])
 	atomic.StoreUint64(&b.MetaLo, newLo)
 	atomic.StoreUint64(&b.MetaHi, newHi|lockBit)
 	return true
 }
 
-// publishFps stores the prepared fingerprint words with atomic word stores.
-// The caller must hold the block lock.
-func (b *Block8) publishFps(buf *[swar.Words8]uint64) {
-	for i := range buf {
-		atomic.StoreUint64(&b.Fps[i], buf[i])
+// publish stores the prepared fingerprint words src into dst with atomic
+// word stores. The caller must hold the block lock.
+func publish(dst, src []uint64) {
+	for i := range src {
+		atomic.StoreUint64(&dst[i], src[i])
 	}
 }
 
 // TryLock attempts to acquire the block's lock bit; it reports success.
-func (b *Block16) TryLock() bool {
-	old := atomic.LoadUint64(&b.Meta)
-	if old&lockBit != 0 {
-		return false
-	}
-	return atomic.CompareAndSwapUint64(&b.Meta, old, old|lockBit)
-}
+func (b *Block16) TryLock() bool { return tryLock(&b.Meta) }
 
 // Lock spins until the block's lock bit is acquired.
-func (b *Block16) Lock() {
-	for i := 0; ; i++ {
-		if b.TryLock() {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
+func (b *Block16) Lock() { lock(&b.Meta) }
 
 // Unlock releases the block's lock bit.
-func (b *Block16) Unlock() {
-	atomic.StoreUint64(&b.Meta, atomic.LoadUint64(&b.Meta)&^lockBit)
-}
+func (b *Block16) Unlock() { unlock(&b.Meta) }
 
 // UnlockBump publishes a mutation and releases the lock; see
 // Block8.UnlockBump.
@@ -261,13 +234,8 @@ func bucketRange64(meta uint64, bucket uint) (start, end uint) {
 	return p - bucket + 1, q - bucket
 }
 
-// ContainsLocked reports whether fp is present in bucket. The caller must
-// hold the block lock.
-func (b *Block16) ContainsLocked(bucket uint, fp uint16) bool {
-	return b.ContainsLockedB(bucket, swar.BroadcastU16(fp))
-}
-
-// ContainsLockedB is ContainsLocked with a pre-broadcast fingerprint.
+// ContainsLockedB reports whether the pre-broadcast fingerprint is present
+// in bucket. The caller must hold the block lock.
 func (b *Block16) ContainsLockedB(bucket uint, bcast uint64) bool {
 	return probe16(b.metaLocked(), &b.Fps, bucket, bcast) != 0
 }
@@ -282,7 +250,7 @@ func (b *Block16) InsertLocked(bucket uint, fp uint16) bool {
 	}
 	buf := b.Fps
 	newMeta, _ := insertSlot16(meta, &buf, bucket, fp)
-	b.publishFps(&buf)
+	publish(b.Fps[:], buf[:])
 	atomic.StoreUint64(&b.Meta, newMeta|lockBit)
 	return true
 }
@@ -300,15 +268,7 @@ func (b *Block16) RemoveLocked(bucket uint, fp uint16) bool {
 	if z < 0 {
 		return false
 	}
-	b.publishFps(&buf)
+	publish(b.Fps[:], buf[:])
 	atomic.StoreUint64(&b.Meta, newMeta|lockBit)
 	return true
-}
-
-// publishFps stores the prepared fingerprint words with atomic word stores.
-// The caller must hold the block lock.
-func (b *Block16) publishFps(buf *[swar.Words16]uint64) {
-	for i := range buf {
-		atomic.StoreUint64(&b.Fps[i], buf[i])
-	}
 }

@@ -47,7 +47,7 @@ func TestBlock8LockedEquivalence(t *testing.T) {
 			}
 		case 2:
 			a := plain.Contains(bucket, fp)
-			b := locked.ContainsLocked(bucket, fp)
+			b := locked.ContainsLockedB(bucket, Broadcast(fp))
 			if a != b {
 				t.Fatalf("step %d: contains plain=%v locked=%v", step, a, b)
 			}
@@ -96,7 +96,7 @@ func TestBlock8LockedFullBlock(t *testing.T) {
 		t.Fatal("occupancy lost across unlock of full block")
 	}
 	for _, e := range entries {
-		if !b.ContainsLocked(e.bucket, e.fp) {
+		if !b.ContainsLockedB(e.bucket, Broadcast(e.fp)) {
 			t.Fatalf("entry (%d,%d) lost across unlock", e.bucket, e.fp)
 		}
 	}
@@ -154,7 +154,7 @@ func TestBlock16LockedEquivalence(t *testing.T) {
 			}
 		case 2:
 			a := plain.Contains(bucket, fp)
-			b := locked.ContainsLocked(bucket, fp)
+			b := locked.ContainsLockedB(bucket, Broadcast(fp))
 			if a != b {
 				t.Fatalf("step %d: contains plain=%v locked=%v", step, a, b)
 			}
@@ -222,7 +222,7 @@ func TestBlock8ConcurrentStress(t *testing.T) {
 						inserted = append(inserted, modelKey{bucket, uint16(fp)})
 					}
 				default:
-					b.ContainsLocked(bucket, fp)
+					b.ContainsLockedB(bucket, Broadcast(fp))
 				}
 				b.Unlock()
 			}

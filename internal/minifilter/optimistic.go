@@ -89,50 +89,34 @@ func (b *Block8) snapValidate(seq *atomic.Uint64, s *snap8) bool {
 	return seq.Load() == s.ver
 }
 
-// ContainsOptimistic reports whether fp is present in bucket without taking
-// the block lock in the common case: it snapshots the block against the
-// version stripe seq and scans the private copy. After optRetries conflicts
-// it falls back to a locked scan, so the operation always terminates even
-// under a continuous writer storm.
-func (b *Block8) ContainsOptimistic(seq *atomic.Uint64, bucket uint, fp byte) bool {
-	found, _, _ := b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastByte(fp))
-	return found
-}
-
-// ContainsOptimisticCounted is ContainsOptimistic reporting how the read
-// resolved: retries is the number of conflicted snapshot attempts, and
-// fellBack is true when the retry budget was exhausted and the scan ran
-// under the block lock. The counts feed the internal/stats counters.
-func (b *Block8) ContainsOptimisticCounted(seq *atomic.Uint64, bucket uint, fp byte) (found bool, retries uint, fellBack bool) {
-	return b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastByte(fp))
-}
-
-// ContainsOptimisticCountedB is ContainsOptimisticCounted with a
-// pre-broadcast fingerprint, so a two-block probe broadcasts once.
-func (b *Block8) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bcast uint64) (found bool, retries uint, fellBack bool) {
+// ProbeOptimistic returns the slot match mask of the pre-broadcast
+// fingerprint within bucket (see Probe) without taking the block lock in the
+// common case: it snapshots the block against the version stripe seq and
+// probes the private copy. After optRetries conflicts it falls back to a
+// locked probe, so the operation always terminates even under a continuous
+// writer storm. retries is the number of conflicted snapshot attempts and
+// fellBack is true when the budget was exhausted; the counts feed the
+// internal/stats counters. Lookups test mask != 0; compaction's removal
+// reconciliation counts the matching instances.
+func (b *Block8) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) (mask uint64, retries uint, fellBack bool) {
 	var s snap8
 	for i := 0; i < optRetries; i++ {
 		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe8(s.lo, s.hi, &s.fps, bucket, bcast) != 0, uint(i), false
+			return probe8(s.lo, s.hi, &s.fps, bucket, bcast), uint(i), false
 		}
 		runtime.Gosched()
 	}
 	b.Lock()
-	found = b.ContainsLockedB(bucket, bcast)
+	lo, hi := b.metaLocked()
+	mask = probe8(lo, hi, &b.Fps, bucket, bcast)
 	b.Unlock()
-	return found, optRetries, true
+	return mask, optRetries, true
 }
 
-// OccupancyOptimistic returns the block occupancy from a validated lock-free
-// read of the metadata words. ok is false after repeated conflicts; the
+// OccupancyOptimisticCounted returns the block occupancy from a validated
+// lock-free read of the metadata words, with the number of conflicted
+// attempts (see ProbeOptimistic). ok is false after repeated conflicts; the
 // caller should then fall back to its locked path.
-func (b *Block8) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	occ, _, ok = b.OccupancyOptimisticCounted(seq)
-	return occ, ok
-}
-
-// OccupancyOptimisticCounted is OccupancyOptimistic reporting the number of
-// conflicted attempts; see ContainsOptimisticCounted.
 func (b *Block8) OccupancyOptimisticCounted(seq *atomic.Uint64) (occ uint, retries uint, ok bool) {
 	for i := 0; i < optRetries; i++ {
 		ver := seq.Load()
@@ -177,39 +161,20 @@ func (b *Block16) snapValidate(seq *atomic.Uint64, s *snap16) bool {
 	return seq.Load() == s.ver
 }
 
-// ContainsOptimistic is the lock-free lookup; see Block8.ContainsOptimistic.
-func (b *Block16) ContainsOptimistic(seq *atomic.Uint64, bucket uint, fp uint16) bool {
-	found, _, _ := b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastU16(fp))
-	return found
-}
-
-// ContainsOptimisticCounted is the counted lock-free lookup; see
-// Block8.ContainsOptimisticCounted.
-func (b *Block16) ContainsOptimisticCounted(seq *atomic.Uint64, bucket uint, fp uint16) (found bool, retries uint, fellBack bool) {
-	return b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastU16(fp))
-}
-
-// ContainsOptimisticCountedB is the counted lock-free lookup with a
-// pre-broadcast fingerprint; see Block8.ContainsOptimisticCountedB.
-func (b *Block16) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bcast uint64) (found bool, retries uint, fellBack bool) {
+// ProbeOptimistic is the counted lock-free probe; see
+// Block8.ProbeOptimistic.
+func (b *Block16) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) (mask uint64, retries uint, fellBack bool) {
 	var s snap16
 	for i := 0; i < optRetries; i++ {
 		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe16(s.meta, &s.fps, bucket, bcast) != 0, uint(i), false
+			return probe16(s.meta, &s.fps, bucket, bcast), uint(i), false
 		}
 		runtime.Gosched()
 	}
 	b.Lock()
-	found = b.ContainsLockedB(bucket, bcast)
+	mask = probe16(b.metaLocked(), &b.Fps, bucket, bcast)
 	b.Unlock()
-	return found, optRetries, true
-}
-
-// OccupancyOptimistic is the lock-free occupancy probe; see
-// Block8.OccupancyOptimistic.
-func (b *Block16) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	occ, _, ok = b.OccupancyOptimisticCounted(seq)
-	return occ, ok
+	return mask, optRetries, true
 }
 
 // OccupancyOptimisticCounted is the counted lock-free occupancy probe; see

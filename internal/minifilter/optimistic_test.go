@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// containsOpt is the optimistic lookup as the concurrent filters use it: a
+// counted probe of the broadcast fingerprint that must resolve without a
+// fallback when no writer runs.
+func containsOpt[B any, F Fingerprint, P Block[B, F]](t *testing.T, b P, seq *atomic.Uint64, bucket uint, fp F) bool {
+	mask, retries, fellBack := b.ProbeOptimistic(seq, bucket, Broadcast(fp))
+	if retries > OptRetryBudget || fellBack != (retries == OptRetryBudget) {
+		t.Errorf("inconsistent retry accounting: retries %d, fell back %v", retries, fellBack)
+	}
+	return mask != 0
+}
+
+// occupancyOpt is the counted optimistic occupancy probe, which must
+// resolve and agree with the locked occupancy when no writer runs.
+func occupancyOpt[B any, F Fingerprint, P Block[B, F]](t *testing.T, b P, seq *atomic.Uint64) {
+	t.Helper()
+	if occ, retries, ok := b.OccupancyOptimisticCounted(seq); !ok || retries != 0 || occ != b.OccupancyLocked() {
+		t.Fatalf("occupancy opt=(%d, retries %d, %v) locked=%d", occ, retries, ok, b.OccupancyLocked())
+	}
+}
+
 // TestBlock8OptimisticEquivalence checks that, absent concurrent writers,
 // the optimistic lookup agrees with the locked one across a random op mix.
 func TestBlock8OptimisticEquivalence(t *testing.T) {
@@ -33,18 +53,15 @@ func TestBlock8OptimisticEquivalence(t *testing.T) {
 				b.Unlock()
 			}
 		default:
-			opt := b.ContainsOptimistic(&seq, bucket, fp)
+			opt := containsOpt(t, &b, &seq, bucket, fp)
 			b.Lock()
-			locked := b.ContainsLocked(bucket, fp)
+			locked := b.ContainsLockedB(bucket, Broadcast(fp))
 			b.Unlock()
 			if opt != locked {
 				t.Fatalf("step %d: optimistic=%v locked=%v", step, opt, locked)
 			}
 		}
-		if occ, ok := b.OccupancyOptimistic(&seq); !ok || occ != b.OccupancyLocked() {
-			t.Fatalf("step %d: occupancy opt=(%d,%v) locked=%d",
-				step, occ, ok, b.OccupancyLocked())
-		}
+		occupancyOpt(t, &b, &seq)
 	}
 }
 
@@ -72,17 +89,15 @@ func TestBlock16OptimisticEquivalence(t *testing.T) {
 				b.Unlock()
 			}
 		default:
-			opt := b.ContainsOptimistic(&seq, bucket, fp)
+			opt := containsOpt(t, &b, &seq, bucket, fp)
 			b.Lock()
-			locked := b.ContainsLocked(bucket, fp)
+			locked := b.ContainsLockedB(bucket, Broadcast(fp))
 			b.Unlock()
 			if opt != locked {
 				t.Fatalf("step %d: optimistic=%v locked=%v", step, opt, locked)
 			}
 		}
-		if occ, ok := b.OccupancyOptimistic(&seq); !ok || occ != b.OccupancyLocked() {
-			t.Fatalf("step %d: occupancy diverged", step)
-		}
+		occupancyOpt(t, &b, &seq)
 	}
 }
 
@@ -261,19 +276,19 @@ func TestBlock8OptimisticConcurrentStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
 				p := pins[rng.Intn(len(pins))]
-				if !b.ContainsOptimistic(&seq, p.bucket, p.fp) {
+				if !containsOpt(t, &b, &seq, p.bucket, p.fp) {
 					t.Error("false negative on pinned key")
 					return
 				}
 				// Also exercise misses and the occupancy probe.
-				b.ContainsOptimistic(&seq, uint(rng.Intn(B8Buckets)), byte(5+rng.Intn(90)))
-				b.OccupancyOptimistic(&seq)
+				containsOpt(t, &b, &seq, uint(rng.Intn(B8Buckets)), byte(5+rng.Intn(90)))
+				b.OccupancyOptimisticCounted(&seq)
 			}
 		}(int64(r + 70))
 	}
 	wg.Wait()
 	for _, p := range pins {
-		if !b.ContainsOptimistic(&seq, p.bucket, p.fp) {
+		if !containsOpt(t, &b, &seq, p.bucket, p.fp) {
 			t.Fatal("pinned key missing after stress")
 		}
 	}

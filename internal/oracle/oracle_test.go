@@ -161,3 +161,30 @@ func TestSubjectsBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestSerializeIdentitySubjects pins which subjects the serialize-identity
+// property round-trips — every VQF-family subject, each through its own
+// stream reader — and runs it once on each.
+func TestSerializeIdentitySubjects(t *testing.T) {
+	want := []string{"filter8", "filter8-noshortcut", "filter16", "filter16-noshortcut",
+		"cfilter8", "cfilter16", "map", "elastic", "elastic-concurrent",
+		"elastic-frozen", "elastic-frozen-concurrent"}
+	prop, err := PropertyByName("serialize-identity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Generate(3, GenConfig{Ops: 3000, Universe: 800})
+	var got []string
+	for _, s := range Subjects() {
+		if !prop.Applies(s) {
+			continue
+		}
+		got = append(got, s.Name)
+		if err := prop.Check(s, tr); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("serialize-identity applies to %v, want %v", got, want)
+	}
+}

@@ -3,11 +3,11 @@ package oracle
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"vqf"
 	"vqf/internal/elastic"
 )
 
@@ -25,7 +25,7 @@ func Properties() []Property {
 		{Name: "differential", Check: checkDifferential},
 		{Name: "batch-equiv", Applies: hasAnyBatch, Check: checkBatchEquivalence},
 		{Name: "optimistic-equiv", Applies: func(s Subject) bool { return s.Concurrent }, Check: checkOptimisticEquivalence},
-		{Name: "serialize-identity", Applies: func(s Subject) bool { return s.Name == "filter8" }, Check: checkSerializeIdentity},
+		{Name: "serialize-identity", Applies: func(s Subject) bool { return s.Read != nil }, Check: checkSerializeIdentity},
 		{Name: "elastic-equiv", Applies: func(s Subject) bool { return s.Name == "elastic" }, Check: checkElasticEquivalence},
 		{Name: "iterate-rebuild", Applies: hasIterate, Check: checkIterateRebuild},
 		{Name: "freeze-equiv", Applies: hasFreeze, Check: checkFreezeEquivalence},
@@ -484,107 +484,49 @@ func checkOptimisticEquivalence(s Subject, tr Trace) error {
 	return nil
 }
 
-// checkSerializeIdentity: serialize→deserialize must be the identity for all
-// three envelope kinds (Filter, Map, Elastic). The reloaded instance must
-// answer every probe — live, removed and fresh — exactly as the original,
-// false positives included, and re-serializing must produce the identical
+// checkSerializeIdentity replays the trace, then round-trips the subject's
+// own instance through its stream format (Subject.Read). The reloaded
+// instance must hold the same Count and answer every probe — live keys,
+// removed and queried keys, fresh keys — exactly as the original, false
+// positives included, and re-serializing it must produce the identical
 // byte stream.
-func checkSerializeIdentity(_ Subject, tr Trace) error {
-	m := newModel()
-
-	filt := vqf.New(tr.NSlots)
-	vmap := vqf.NewMap(tr.NSlots)
-	el := vqf.NewElastic(vqf.WithInitialCapacity(1024), vqf.WithFalsePositiveRate(1.0/128))
-	for _, op := range tr.Ops {
-		switch op.Kind {
-		case OpInsert:
-			if err := filt.AddHash(op.Key); err != nil {
-				return fmt.Errorf("filter AddHash: %v", err)
-			}
-			if err := vmap.PutHash(op.Key, byte(op.Key>>7)); err != nil {
-				return fmt.Errorf("map PutHash: %v", err)
-			}
-			if err := el.AddHash(op.Key); err != nil {
-				return fmt.Errorf("elastic AddHash: %v", err)
-			}
-			m.insert(op.Key)
-		case OpRemove:
-			if !m.live(op.Key) {
-				continue
-			}
-			filt.RemoveHash(op.Key)
-			vmap.DeleteHash(op.Key)
-			el.RemoveHash(op.Key)
-			m.remove(op.Key)
-		}
+func checkSerializeIdentity(s Subject, tr Trace) error {
+	inst, err := s.New(tr.NSlots)
+	if err != nil {
+		return fmt.Errorf("constructing %s(%d): %v", s.Name, tr.NSlots, err)
 	}
-
-	probes := m.liveKeys()
+	if err := replay(s, inst, newModel(), tr); err != nil {
+		return err
+	}
+	var stream bytes.Buffer
+	if _, err := inst.(io.WriterTo).WriteTo(&stream); err != nil {
+		return fmt.Errorf("serialize: %v", err)
+	}
+	back, err := s.Read(bytes.NewReader(stream.Bytes()))
+	if err != nil {
+		return fmt.Errorf("deserialize: %v", err)
+	}
+	if back.Count() != inst.Count() {
+		return fmt.Errorf("count changed across round-trip: %d -> %d", inst.Count(), back.Count())
+	}
+	probes := make([]uint64, 0, len(tr.Ops)+2048)
+	for _, op := range tr.Ops {
+		probes = append(probes, op.Key)
+	}
 	for i := 0; i < 2048; i++ {
 		probes = append(probes, probeKeyFor(tr.NSlots^0x7e57, i))
 	}
-
-	// Kind 1: Filter.
-	var buf bytes.Buffer
-	if _, err := filt.WriteTo(&buf); err != nil {
-		return fmt.Errorf("filter serialize: %v", err)
-	}
-	stream := buf.Bytes()
-	filt2, err := vqf.Read(bytes.NewReader(stream))
-	if err != nil {
-		return fmt.Errorf("filter deserialize: %v", err)
-	}
-	if filt2.Count() != filt.Count() {
-		return fmt.Errorf("filter count changed across round-trip: %d -> %d", filt.Count(), filt2.Count())
-	}
 	for _, k := range probes {
-		if filt.ContainsHash(k) != filt2.ContainsHash(k) {
-			return fmt.Errorf("filter answers differ for %#x after round-trip", k)
+		if inst.Contains(k) != back.Contains(k) {
+			return fmt.Errorf("answers differ for %#x after round-trip", k)
 		}
 	}
-	var buf2 bytes.Buffer
-	if _, err := filt2.WriteTo(&buf2); err != nil {
-		return fmt.Errorf("filter re-serialize: %v", err)
+	var again bytes.Buffer
+	if _, err := back.(io.WriterTo).WriteTo(&again); err != nil {
+		return fmt.Errorf("re-serialize: %v", err)
 	}
-	if !bytes.Equal(stream, buf2.Bytes()) {
-		return fmt.Errorf("filter re-serialization is not byte-identical")
-	}
-
-	// Kind 2: Map (membership and stored values).
-	buf.Reset()
-	if _, err := vmap.WriteTo(&buf); err != nil {
-		return fmt.Errorf("map serialize: %v", err)
-	}
-	vmap2, err := vqf.NewMapFromReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("map deserialize: %v", err)
-	}
-	for _, k := range probes {
-		v1, ok1 := vmap.GetHash(k)
-		v2, ok2 := vmap2.GetHash(k)
-		if ok1 != ok2 || v1 != v2 {
-			return fmt.Errorf("map answers differ for %#x after round-trip: (%d,%v) vs (%d,%v)",
-				k, v1, ok1, v2, ok2)
-		}
-	}
-
-	// Kind 3: Elastic.
-	buf.Reset()
-	if _, err := el.WriteTo(&buf); err != nil {
-		return fmt.Errorf("elastic serialize: %v", err)
-	}
-	el2, err := vqf.ReadElastic(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("elastic deserialize: %v", err)
-	}
-	if el2.Count() != el.Count() || el2.Levels() != el.Levels() {
-		return fmt.Errorf("elastic shape changed across round-trip: %d keys/%d levels -> %d/%d",
-			el.Count(), el.Levels(), el2.Count(), el2.Levels())
-	}
-	for _, k := range probes {
-		if el.ContainsHash(k) != el2.ContainsHash(k) {
-			return fmt.Errorf("elastic answers differ for %#x after round-trip", k)
-		}
+	if !bytes.Equal(stream.Bytes(), again.Bytes()) {
+		return fmt.Errorf("re-serialization is not byte-identical")
 	}
 	return nil
 }

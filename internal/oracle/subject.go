@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"io"
 
 	"vqf/internal/bloom"
 	"vqf/internal/core"
@@ -49,6 +50,11 @@ type Subject struct {
 	// or metadata corruption, never binomial noise.
 	FPRBound float64
 	New      func(nslots uint64) (Instance, error)
+	// Read, when set, loads a stream one of the subject's instances wrote
+	// (they then implement io.WriterTo); the serialize-identity property
+	// round-trips instances through it. A concurrent cascade reads back as
+	// the sequential one, which writes the same stream.
+	Read func(r io.Reader) (Instance, error)
 }
 
 // kvAdapter drives the value-associating KVFilter8 through the set surface.
@@ -67,6 +73,9 @@ func (a kvAdapter) Contains(h uint64) bool {
 }
 func (a kvAdapter) Remove(h uint64) bool { return a.m.Delete(h) }
 func (a kvAdapter) Count() uint64        { return a.m.Count() }
+func (a kvAdapter) WriteTo(w io.Writer) (int64, error) {
+	return a.m.WriteTo(w)
+}
 
 // wrap converts a concrete (filter, error) constructor result to the
 // Instance interface, mapping a failed construction to a nil interface (not
@@ -78,6 +87,11 @@ func wrap[T Instance](f T, err error) (Instance, error) {
 	return f, nil
 }
 
+// reader adapts a stream reader to Subject.Read.
+func reader[T Instance](read func(io.Reader) (T, error)) func(io.Reader) (Instance, error) {
+	return func(r io.Reader) (Instance, error) { return wrap(read(r)) }
+}
+
 // Subjects returns every filter variant the oracle drives: the VQF core
 // filters (both geometries, with and without the §6.2 shortcut), the
 // concurrent filters, the elastic cascades, the Map adapter, and the
@@ -85,25 +99,29 @@ func wrap[T Instance](f T, err error) (Instance, error) {
 func Subjects() []Subject {
 	mk := func(f Instance) (Instance, error) { return f, nil }
 	return []Subject{
-		{Name: "filter8", FPRBound: 0.006,
+		{Name: "filter8", FPRBound: 0.006, Read: reader(core.ReadFilter8),
 			New: func(n uint64) (Instance, error) { return mk(core.NewFilter8(n, core.Options{})) }},
-		{Name: "filter8-noshortcut", FPRBound: 0.006,
+		{Name: "filter8-noshortcut", FPRBound: 0.006, Read: reader(core.ReadFilter8),
 			New: func(n uint64) (Instance, error) { return mk(core.NewFilter8(n, core.Options{NoShortcut: true})) }},
-		{Name: "filter16", FPRBound: 5e-5,
+		{Name: "filter16", FPRBound: 5e-5, Read: reader(core.ReadFilter16),
 			New: func(n uint64) (Instance, error) { return mk(core.NewFilter16(n, core.Options{})) }},
-		{Name: "filter16-noshortcut", FPRBound: 5e-5,
+		{Name: "filter16-noshortcut", FPRBound: 5e-5, Read: reader(core.ReadFilter16),
 			New: func(n uint64) (Instance, error) { return mk(core.NewFilter16(n, core.Options{NoShortcut: true})) }},
-		{Name: "cfilter8", Concurrent: true, FPRBound: 0.006,
+		{Name: "cfilter8", Concurrent: true, FPRBound: 0.006, Read: reader(core.ReadCFilter8),
 			New: func(n uint64) (Instance, error) { return mk(core.NewCFilter8(n, core.Options{})) }},
-		{Name: "cfilter16", Concurrent: true, FPRBound: 5e-5,
+		{Name: "cfilter16", Concurrent: true, FPRBound: 5e-5, Read: reader(core.ReadCFilter16),
 			New: func(n uint64) (Instance, error) { return mk(core.NewCFilter16(n, core.Options{})) }},
 		{Name: "map", FPRBound: 0.006,
-			New: func(n uint64) (Instance, error) { return mk(kvAdapter{core.NewKV8(n)}) }},
-		{Name: "elastic", FPRBound: 1.0 / 128,
+			New: func(n uint64) (Instance, error) { return mk(kvAdapter{core.NewKV8(n)}) },
+			Read: func(r io.Reader) (Instance, error) {
+				m, err := core.ReadKV8(r)
+				return wrap(kvAdapter{m}, err)
+			}},
+		{Name: "elastic", FPRBound: 1.0 / 128, Read: reader(elastic.Read),
 			New: func(n uint64) (Instance, error) {
 				return wrap(elastic.New(elastic.Config{TargetFPR: 1.0 / 128, InitialSlots: 1 << 10}))
 			}},
-		{Name: "elastic-concurrent", Concurrent: true, FPRBound: 1.0 / 128,
+		{Name: "elastic-concurrent", Concurrent: true, FPRBound: 1.0 / 128, Read: reader(elastic.Read),
 			New: func(n uint64) (Instance, error) {
 				return wrap(elastic.NewConcurrent(elastic.Config{TargetFPR: 1.0 / 128, InitialSlots: 1 << 10}))
 			}},
@@ -112,12 +130,12 @@ func Subjects() []Subject {
 		// every growth immediately rebuilds old levels into fuse levels and
 		// the whole trace — removes, queries, duplicate churn — exercises the
 		// immutable tier's vault, tombstone and thaw paths.
-		{Name: "elastic-frozen", FPRBound: 1.0 / 128,
+		{Name: "elastic-frozen", FPRBound: 1.0 / 128, Read: reader(elastic.Read),
 			New: func(n uint64) (Instance, error) {
 				return wrap(elastic.New(elastic.Config{TargetFPR: 1.0 / 128, InitialSlots: 1 << 9,
 					AutoFreeze: true, FreezeMaxLoad: 1}))
 			}},
-		{Name: "elastic-frozen-concurrent", Concurrent: true, FPRBound: 1.0 / 128,
+		{Name: "elastic-frozen-concurrent", Concurrent: true, FPRBound: 1.0 / 128, Read: reader(elastic.Read),
 			New: func(n uint64) (Instance, error) {
 				return wrap(elastic.NewConcurrent(elastic.Config{TargetFPR: 1.0 / 128, InitialSlots: 1 << 9,
 					AutoFreeze: true, FreezeMaxLoad: 1}))

@@ -3,27 +3,39 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// wireRequests are well-formed requests of every shape: no name or keys,
+// several keys, a long name, values (opPut), a zero-key body.
+var wireRequests = []struct {
+	op    byte
+	flags byte
+	name  string
+	keys  []uint64
+	vals  []byte
+}{
+	{opPing, 0, "", nil, nil},
+	{opInsert, 0, "hot", []uint64{1, 2, 3, 0xdeadbeefcafef00d}, nil},
+	{opContains, 0, "a.filter-name_0", []uint64{42}, nil},
+	{opPut, flagUpdate, "kv", []uint64{7, 8}, []byte{200, 201}},
+	{opRemove, 0, "x", nil, nil},
+}
+
+// malformedRequests are request payloads parseRequest must reject.
+var malformedRequests = map[string][]byte{
+	"short payload":      {1, 0, 0},
+	"name overrun":       {1, 0, 255, 255, 'x'},
+	"body count overrun": append([]byte{1, 0, 0, 0}, 255, 0, 0, 0),
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	cases := []struct {
-		op    byte
-		flags byte
-		name  string
-		keys  []uint64
-		vals  []byte
-	}{
-		{opPing, 0, "", nil, nil},
-		{opInsert, 0, "hot", []uint64{1, 2, 3, 0xdeadbeefcafef00d}, nil},
-		{opContains, 0, "a.filter-name_0", []uint64{42}, nil},
-		{opPut, flagUpdate, "kv", []uint64{7, 8}, []byte{200, 201}},
-		{opRemove, 0, "x", nil, nil},
-	}
 	var buf []byte
 	var req request
-	for _, c := range cases {
+	for _, c := range wireRequests {
 		frame, err := appendRequest(buf[:0], c.op, c.flags, c.name, c.keys, c.vals)
 		if err != nil {
 			t.Fatalf("append %+v: %v", c, err)
@@ -109,12 +121,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 
 func TestParseRequestMalformed(t *testing.T) {
 	var req request
-	cases := map[string][]byte{
-		"short payload":      {1, 0, 0},
-		"name overrun":       {1, 0, 255, 255, 'x'},
-		"body count overrun": append([]byte{1, 0, 0, 0}, 255, 0, 0, 0),
-	}
-	for name, payload := range cases {
+	for name, payload := range malformedRequests {
 		if err := parseRequest(payload, &req); err == nil {
 			t.Errorf("%s: not rejected", name)
 		}
@@ -129,4 +136,53 @@ func TestParseRequestMalformed(t *testing.T) {
 	if err := parseRequest(payload, &req); err == nil {
 		t.Error("opPut missing values not rejected")
 	}
+}
+
+// FuzzWire drives the network-facing decoder: each input goes through
+// readFrame with a small frame limit, then parseRequest on the payload.
+// Neither may panic, and a request that parses must re-encode with
+// appendRequest to the same payload bytes and parse back to the same
+// request. Seeds are the frames of the tests above.
+func FuzzWire(f *testing.F) {
+	for _, c := range wireRequests {
+		frame, err := appendRequest(nil, c.op, c.flags, c.name, c.keys, c.vals)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	for _, payload := range malformedRequests {
+		f.Add(append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+	}
+	oversized, err := appendRequest(nil, opInsert, 0, "f", make([]uint64, 100), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oversized)
+	f.Add(oversized[:len(oversized)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil, 512)
+		if err != nil {
+			return
+		}
+		var req request
+		if parseRequest(payload, &req) != nil {
+			return
+		}
+		frame, err := appendRequest(nil, req.op, req.flags, req.name, req.keys, req.vals)
+		if err != nil {
+			t.Fatalf("parsed request does not re-encode: %v", err)
+		}
+		if !bytes.Equal(frame[4:], payload) {
+			t.Fatalf("re-encoded payload %x, parsed %x", frame[4:], payload)
+		}
+		var again request
+		if err := parseRequest(frame[4:], &again); err != nil {
+			t.Fatalf("re-encoded request does not parse: %v", err)
+		}
+		if again.op != req.op || again.flags != req.flags || again.name != req.name ||
+			!slices.Equal(again.keys, req.keys) || !bytes.Equal(again.vals, req.vals) {
+			t.Fatalf("request changed across re-encoding: %+v -> %+v", req, again)
+		}
+	})
 }
